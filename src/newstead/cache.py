@@ -1,0 +1,123 @@
+"""On-disk cache of reduced Groebner bases, one JSON file per genus.
+
+A loaded file is never trusted.  It must be monic, sorted strictly ascending
+by lead and reduced, with C(g+2, 3) standard monomials; its S-polynomials and
+the relation generators must reduce to zero.  Then it is a Groebner basis of
+an ideal I containing the genus-g ideal J with dim Q[a,b,c]/I = dim
+Q[a,b,c]/J, so I = J, and as the reduced basis of an ideal is unique, the
+file is bit-identical to a freshly computed basis.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from typing import Optional
+
+from .groebner import (
+    ORDER_TAG,
+    GroebnerBasis,
+    expected_standard_count,
+    is_groebner_basis,
+    relation_ideal_basis,
+    standard_monomials,
+)
+from .relations import relations_by_recursion
+from .textform import ParseError, parse_poly
+
+CACHE_VERSION = 1
+
+__all__ = [
+    "cache_path", "save_cached_basis", "load_cached_basis", "relation_basis_cached"
+]
+
+
+def cache_path(cache_dir: str, genus: int) -> Path:
+    return Path(cache_dir) / f"ideal_g{genus}.json"
+
+
+def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
+    """Write one cache file per genus, atomically (write + rename)."""
+    if gb.genus is None:
+        raise ValueError("only genus-tagged bases are cached")
+    directory = Path(cache_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "version": CACHE_VERSION,
+        "genus": gb.genus,
+        "order_tag": gb.order_tag,
+        "elements": [str(p) for p in gb.elements],
+    }
+    target = cache_path(cache_dir, gb.genus)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+        os.replace(tmp_name, target)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return target
+
+
+def _reduced_with_expected_count(gb: GroebnerBasis) -> bool:
+    """Nonzero, monic, sorted strictly ascending by lead, reduced, with C(g+2, 3)
+    standard monomials.  Cheap next to the S-polynomial check."""
+    elements = gb.elements
+    if any(not p or p.leading_coefficient() != 1 for p in elements):
+        return False
+    leads = [p.leading_monomial() for p in elements]
+    keys = [m.sort_key() for m in leads]
+    if any(lo >= hi for lo, hi in zip(keys, keys[1:])):
+        return False
+    if any(a.divides(b) for a in leads for b in leads if a != b):
+        return False
+    try:
+        sm = standard_monomials(gb)
+    except ValueError:
+        return False
+    return len(sm) == expected_standard_count(gb.genus) and sm.contains_tails(elements)
+
+
+def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
+    """Load a cached basis, or None when missing, corrupt or invalid."""
+    path = cache_path(cache_dir, genus)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError):
+        return None
+    if not isinstance(payload, dict) or (
+        payload.get("version"), payload.get("genus"), payload.get("order_tag")
+    ) != (CACHE_VERSION, genus, ORDER_TAG):
+        return None
+    raw = payload.get("elements")
+    if not isinstance(raw, list) or not raw:
+        return None
+    try:
+        elements = tuple(parse_poly(text) for text in raw)
+    except (ParseError, TypeError):
+        return None
+    gb = GroebnerBasis(elements, genus=genus)
+    if not _reduced_with_expected_count(gb) or not is_groebner_basis(elements):
+        return None
+    if all(gb.contains(p) for p in relations_by_recursion(genus).polynomials()):
+        return gb
+    return None
+
+
+def relation_basis_cached(genus: int, cache_dir: Optional[str]) -> GroebnerBasis:
+    """The genus-g basis, read from and written to `cache_dir` when given."""
+    if cache_dir is None:
+        return relation_ideal_basis(genus)
+    cached = load_cached_basis(cache_dir, genus)
+    if cached is not None:
+        return cached
+    gb = relation_ideal_basis(genus)
+    save_cached_basis(cache_dir, gb)
+    return gb

@@ -13,57 +13,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from .betti import (
-    betti_cross_check,
-    default_s_max,
-    invariant_dimensions,
-    newstead_betti,
-)
-from .chern import (
-    chern_matches_series,
-    chern_relations_check,
-    quotient_chern,
-    tangent_chern,
-    tangent_vanishing_check,
-)
+from .betti import betti_cross_check, default_s_max, newstead_betti
+from .cache import load_cached_basis, relation_basis_cached, save_cached_basis
+from .chern import quotient_chern, tangent_chern
 from .groebner import (
-    ORDER_TAG,
-    GroebnerBasis,
-    complete_intersection_hilbert,
-    expected_initial_ideal,
-    expected_standard_count,
     hilbert_series,
-    ideal_equal,
     initial_ideal_minimal_generators,
-    is_groebner_basis,
-    normal_form,
     pairing_ratio,
-    relation_ideal_basis,
     standard_monomials,
 )
-from .relations import (
-    initial_terms,
-    relations_by_definition,
-    relations_by_recursion,
-)
-from .ring import GAMMA, Monomial
-from .series import functional_equation_residual, generating_series, taylor_derivative
+from .relations import initial_terms, relations_by_definition, relations_by_recursion
+from .ring import Monomial
 from .textform import ParseError, parse_poly, to_latex
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-
-CACHE_VERSION = 1
 
 __all__ = ["main", "run_verify", "save_cached_basis", "load_cached_basis"]
 
@@ -73,93 +43,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Groebner basis disk cache
-
-
-def cache_path(cache_dir: str, genus: int) -> Path:
-    return Path(cache_dir) / f"ideal_g{genus}.json"
-
-
-def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
-    """Write one cache file per genus, atomically (write + rename)."""
-    if gb.genus is None:
-        raise ValueError("only genus-tagged bases are cached")
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": CACHE_VERSION,
-        "genus": gb.genus,
-        "order_tag": gb.order_tag,
-        "elements": [str(p) for p in gb.elements],
-    }
-    target = cache_path(cache_dir, gb.genus)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
-    """Load a cached basis, or None when missing, corrupt or invalid.
-
-    A loaded basis is never trusted: it must pass S-polynomial
-    revalidation and must still contain the relation generators.
-    """
-    path = cache_path(cache_dir, genus)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("version") != CACHE_VERSION:
-        return None
-    if payload.get("genus") != genus or payload.get("order_tag") != ORDER_TAG:
-        return None
-    raw = payload.get("elements")
-    if not isinstance(raw, list) or not raw:
-        return None
-    try:
-        elements = tuple(parse_poly(text) for text in raw)
-    except (ParseError, TypeError):
-        return None
-    if any(not p for p in elements):
-        return None
-    if not is_groebner_basis(elements):
-        return None
-    gb = GroebnerBasis(elements, genus=genus)
-    triple = relations_by_recursion(genus)
-    if any(gb.normal_form(p) for p in triple.polynomials()):
-        return None
-    return gb
-
-
-def relation_basis_cached(genus: int, cache_dir: Optional[str]) -> GroebnerBasis:
-    if cache_dir is None:
-        return relation_ideal_basis(genus)
-    cached = load_cached_basis(cache_dir, genus)
-    if cached is not None:
-        return cached
-    gb = relation_ideal_basis(genus)
-    save_cached_basis(cache_dir, gb)
-    return gb
-
-
-# ---------------------------------------------------------------------------
 # Helpers
-
-
-def _fraction_str(q: Fraction) -> str:
-    return str(q)
 
 
 def _parse_genus_field(text: str, allow_range: bool) -> Tuple[int, int]:
@@ -306,8 +190,8 @@ def _cmd_pairing(args) -> int:
         ratio = pairing_ratio(mono, gb)
     except ValueError as exc:
         raise UsageError(str(exc))
-    payload = {"genus": genus, "monomial": str(mono), "ratio": _fraction_str(ratio)}
-    _emit(payload, [_fraction_str(ratio)], args.format)
+    payload = {"genus": genus, "monomial": str(mono), "ratio": str(ratio)}
+    _emit(payload, [str(ratio)], args.format)
     return EXIT_OK
 
 
@@ -357,203 +241,27 @@ def _cmd_betti(args) -> int:
     return EXIT_OK if cross else EXIT_CHECK_FAILED
 
 
-# ---------------------------------------------------------------------------
-# verify: run every check over a genus range
-
-Check = Tuple[str, str, bool, str]
-
-
-def _check(scope: str, name: str, ok: bool, detail: str = "") -> Check:
-    return (scope, name, bool(ok), detail)
-
-
-def _verify_single(genus: int, cache_dir: Optional[str]):
-    scope = f"g={genus}"
-    checks: List[Check] = []
-    phi = generating_series(genus + 2)
-    by_rec = relations_by_recursion(genus)
-    by_def = relations_by_definition(genus, phi)
-    checks.append(_check(scope, "relations-dual-path", by_rec.agrees_with(by_def)))
-    expected_inits = (
-        Monomial(genus, 0, 0),
-        Monomial(genus - 1, 1, 0),
-        Monomial(genus - 1, 0, 1),
-    )
-    checks.append(
-        _check(scope, "initial-terms", initial_terms(by_rec) == expected_inits)
-    )
-    checks.append(
-        _check(
-            scope,
-            "weighted-degrees",
-            by_rec.weighted_degrees() == (genus, genus + 1, genus + 2),
-        )
-    )
-    checks.append(
-        _check(
-            scope,
-            "monic-leads",
-            all(p.leading_coefficient() == 1 for p in by_rec.polynomials()),
-        )
-    )
-
-    gb = relation_basis_cached(genus, cache_dir)
-    checks.append(
-        _check(
-            scope,
-            "initial-ideal",
-            initial_ideal_minimal_generators(gb) == expected_initial_ideal(genus),
-        )
-    )
-    sm = standard_monomials(gb)
-    checks.append(
-        _check(
-            scope,
-            "standard-monomial-count",
-            len(sm) == expected_standard_count(genus),
-        )
-    )
-    series_counts = hilbert_series(gb)
-    checks.append(
-        _check(
-            scope,
-            "hilbert-closed-form",
-            series_counts == complete_intersection_hilbert(genus),
-        )
-    )
-    checks.append(
-        _check(
-            scope,
-            "hilbert-palindromic",
-            series_counts == tuple(reversed(series_counts)),
-        )
-    )
-    checks.append(
-        _check(
-            scope,
-            "hilbert-top",
-            len(series_counts) == 3 * genus - 2 and series_counts[-1] == 1,
-        )
-    )
-    socle = [m for m in sm.monomials if m.weight == 3 * genus - 3]
-    checks.append(
-        _check(scope, "socle-unique", socle == [Monomial(0, 0, genus - 1)])
-    )
-    standard_set = set(sm.monomials)
-    supported = all(
-        all(m in standard_set for m in p.terms if m != p.leading_monomial())
-        for p in by_rec.polynomials()
-    )
-    checks.append(_check(scope, "uniqueness-support", supported))
-
-    derivatives = [taylor_derivative(phi, r) for r in (genus, genus + 1, genus + 2)]
-    checks.append(
-        _check(
-            scope,
-            "ideal-equal-series",
-            ideal_equal(by_rec.polynomials(), derivatives, basis1=gb),
-        )
-    )
-    checks.append(_check(scope, "chern-matches-series", chern_matches_series(genus)))
-    checks.append(_check(scope, "chern-relations", chern_relations_check(genus, gb)))
-    checks.append(_check(scope, "invariant-dimensions",
-                         invariant_dimensions(genus) == series_counts))
-
-    if genus >= 2:
-        checks.append(
-            _check(scope, "tangent-vanishing", tangent_vanishing_check(genus, gb))
-        )
-        control = tangent_chern(genus, 1).component(1)
-        checks.append(
-            _check(
-                scope,
-                "tangent-negative-control",
-                bool(gb.normal_form(control)),
-                "c_1 must survive in the quotient",
-            )
-        )
-        checks.append(_check(scope, "betti-cross-check", betti_cross_check(genus)))
-        checks.append(
-            _check(
-                scope,
-                "pairing-socle",
-                pairing_ratio(Monomial(0, 0, genus - 1), gb) == 1,
-            )
-        )
-        table = newstead_betti(genus)
-        middle = (3 * genus - 3) // 2
-        monotone = all(
-            table.values[s] <= table.values[s + 1]
-            for s in range(min(middle, len(table.values) - 1))
-        )
-        checks.append(
-            _check(
-                scope,
-                "betti-monotone-note",
-                True,
-                "holds" if monotone else "violated (informational only)",
-            )
-        )
-    if genus == 2:
-        spot = (
-            pairing_ratio(Monomial(1, 1, 0), gb) == -1
-            and pairing_ratio(Monomial(3, 0, 0), gb) == 1
-        )
-        checks.append(_check(scope, "pairing-spot-values", spot))
-    return checks, gb, by_rec
-
-
-def run_verify(
-    lo: int, hi: int, cache_dir: Optional[str] = None, jobs: Optional[int] = None
-) -> Tuple[List[Check], bool]:
-    """Run every check for each genus in [lo, hi]; results ordered by genus."""
-    genera = list(range(lo, hi + 1))
-    workers = jobs or min(len(genera), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outcomes = list(pool.map(lambda g: _verify_single(g, cache_dir), genera))
-
-    checks: List[Check] = []
-    for per_genus, _, _ in outcomes:
-        checks.extend(per_genus)
-
-    by_genus = {g: (gb, tri) for g, (_, gb, tri) in zip(genera, outcomes)}
-    for g in genera[:-1]:
-        _, triple = by_genus[g]
-        next_gb, _ = by_genus[g + 1]
-        included = all(
-            not next_gb.normal_form(GAMMA * p) for p in triple.polynomials()
-        )
-        checks.append(_check(f"g={g}->g={g + 1}", "gamma-inclusion", included))
-
-    residual = functional_equation_residual(generating_series(25))
-    checks.append(
-        _check("global", "functional-equation", residual.is_zero(), "order 25")
-    )
-    return checks, all(ok for _, _, ok, _ in checks)
-
-
 def _cmd_verify(args) -> int:
     lo, hi = _parse_genus_field(args.genus, allow_range=True)
-    checks, all_ok = run_verify(lo, hi, args.cache_dir, args.jobs)
-    if args.format == "json":
-        payload = {
-            "range": [lo, hi],
-            "checks": [
-                {"scope": scope, "name": name, "ok": ok, "detail": detail}
-                for scope, name, ok, detail in checks
-            ],
-            "all_ok": all_ok,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for scope, name, ok, detail in checks:
-            suffix = f" ({detail})" if detail else ""
-            print(f"{scope} {name}: {'ok' if ok else 'FAILED'}{suffix}")
-        failed = sum(1 for _, _, ok, _ in checks if not ok)
-        print(
-            f"verify: {len(checks) - failed}/{len(checks)} checks passed"
-            + ("" if all_ok else f", {failed} FAILED")
-        )
+    checks, all_ok = run_verify(lo, hi, args.cache_dir)
+    failed = sum(1 for _, _, ok, _ in checks if not ok)
+    payload = {
+        "range": [lo, hi],
+        "checks": [
+            {"scope": scope, "name": name, "ok": ok, "detail": detail}
+            for scope, name, ok, detail in checks
+        ],
+        "all_ok": all_ok,
+    }
+    lines = [
+        f"{scope} {name}: {'ok' if ok else 'FAILED'}" + (f" ({note})" if note else "")
+        for scope, name, ok, note in checks
+    ]
+    lines.append(
+        f"verify: {len(checks) - failed}/{len(checks)} checks passed"
+        + ("" if all_ok else f", {failed} FAILED")
+    )
+    _emit(payload, lines, args.format)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -618,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every check over a genus range")
     common(p)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -637,6 +344,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # a path in the error can only come from the basis cache
+        if exc.filename is None:
+            raise
+        print(f"error: unusable --cache-dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -272,6 +272,13 @@ class StandardMonomialBasis:
             counts[m.weight] += 1
         return tuple(counts)
 
+    def contains_tails(self, polys: Iterable[Polynomial]) -> bool:
+        """Every term of each polynomial but its lead is a standard monomial."""
+        standard = set(self.monomials)
+        return all(
+            m in standard for p in polys for m in p.terms if m != p.leading_monomial()
+        )
+
 
 def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
     """Enumerate the standard monomials, sorted by (weight, grevlex).

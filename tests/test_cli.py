@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import newstead.verify
+from newstead.betti import BettiTable
 from newstead.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
@@ -13,6 +16,9 @@ from newstead.cli import (
     save_cached_basis,
 )
 from newstead.groebner import relation_ideal_basis
+from newstead.ring import ALPHA
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +180,7 @@ class TestVerify:
         assert "FAILED" not in out
 
     def test_output_ordered_by_genus(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "-g", "1..3", "--jobs", "3")
+        _, out, _ = run_cli(capsys, "verify", "-g", "1..3")
         lines = [line for line in out.splitlines() if line.startswith("g=")]
         genera = [line.split()[0] for line in lines]
         assert genera == sorted(genera, key=lambda s: (len(s), s))
@@ -193,6 +199,28 @@ class TestVerify:
     def test_bad_range_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "-g", "3..1")
         assert code == EXIT_USAGE
+
+    def test_jobs_flag_is_gone(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "-g", "2", "--jobs", "2")
+        assert code == EXIT_USAGE
+
+    def test_golden_text(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-g", "1..4")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "verify_1_4.txt").read_text(encoding="utf-8")
+
+    def test_golden_json(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "-g", "1..4", "--format", "json")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "verify_1_4.json").read_text(encoding="utf-8")
+
+    def test_betti_monotone_can_fail(self, capsys, monkeypatch):
+        table = BettiTable(genus=3, values=(1, 2, 1, 16, 2), source="recursion")
+        monkeypatch.setattr(newstead.verify, "newstead_betti", lambda g: table)
+        code, out, _ = run_cli(capsys, "verify", "-g", "3")
+        assert code == EXIT_CHECK_FAILED
+        assert "g=3 betti-monotone: FAILED" in out
+        assert "verify: 20/21 checks passed, 1 FAILED" in out
 
 
 class TestCache:
@@ -239,6 +267,58 @@ class TestCache:
         payload["version"] = 999
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert load_cached_basis(tmp_path, 2) is None
+
+    def _poison(self, tmp_path, genus, elements):
+        path = save_cached_basis(tmp_path, relation_ideal_basis(genus))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["elements"] = elements(payload["elements"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def test_unit_ideal_rejected(self, tmp_path, capsys):
+        # a Groebner basis containing the generators, but of the unit ideal
+        self._poison(tmp_path, 3, lambda old: ["1"])
+        assert load_cached_basis(tmp_path, 3) is None
+        cache = ("--cache-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, "pairing", "-g", "3", "--mono", "a^6", *cache)
+        assert (code, out.strip()) == (EXIT_OK, "28/3")
+        code, out, _ = run_cli(capsys, "hilbert", "-g", "3", *cache)
+        assert (code, out.strip()) == (EXIT_OK, "1 1 2 2 2 1 1")
+        assert load_cached_basis(tmp_path, 3) is not None  # rewritten
+
+    def test_unreduced_element_rejected(self, tmp_path, capsys):
+        # 2*a*f1 lies in the ideal, but is neither monic nor reduced
+        extra = "2*a^4 + 10*a^2*b + 8*a*c"
+        self._poison(tmp_path, 3, lambda old: old + [extra])
+        assert load_cached_basis(tmp_path, 3) is None
+        code, out, _ = run_cli(
+            capsys, "groebner", "-g", "3", "--cache-dir", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        assert "basis (10 elements):" in out
+        assert "a^4" not in out
+
+    def test_redundant_element_rejected(self, tmp_path):
+        # monic, tail-reduced and in the ideal, but its lead a^4 is a
+        # multiple of the lead a^3: not the reduced basis
+        gb = relation_ideal_basis(3)
+        extra = ALPHA ** 4 - gb.normal_form(ALPHA ** 4)
+        self._poison(tmp_path, 3, lambda old: old + [str(extra)])
+        assert load_cached_basis(tmp_path, 3) is None
+
+    def test_unsorted_basis_rejected(self, tmp_path):
+        self._poison(tmp_path, 3, lambda old: old[::-1])
+        assert load_cached_basis(tmp_path, 3) is None
+
+    def test_unusable_cache_dir_is_usage(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        for cache_dir in (blocker, blocker / "sub"):
+            code, out, err = run_cli(
+                capsys, "hilbert", "-g", "2", "--cache-dir", str(cache_dir)
+            )
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_cli_populates_and_reuses_cache(self, tmp_path, capsys):
         code, first, _ = run_cli(
