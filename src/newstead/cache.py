@@ -1,11 +1,14 @@
 """On-disk cache of reduced Groebner bases, one JSON file per genus.
 
-A loaded file is never trusted.  It must be monic, sorted strictly ascending
-by lead and reduced, with C(g+2, 3) standard monomials; its S-polynomials and
-the relation generators must reduce to zero.  Then it is a Groebner basis of
-an ideal I containing the genus-g ideal J with dim Q[a,b,c]/I = dim
-Q[a,b,c]/J, so I = J, and as the reduced basis of an ideal is unique, the
-file is bit-identical to a freshly computed basis.
+A loaded file is never trusted.  It must be monic and sorted strictly
+ascending by lead, its leads must be exactly the monomials of standard degree
+g and every other term must have standard degree below g; its S-polynomials
+and the relation generators must reduce to zero.  The shape checks cost time
+linear in the file and imply that the set is reduced with C(g+2, 3) standard
+monomials.  Then it is a Groebner basis of an ideal I containing the genus-g
+ideal J with dim Q[a,b,c]/I = dim Q[a,b,c]/J, so I = J, and as the reduced
+basis of an ideal is unique, the file is bit-identical to a freshly computed
+basis.
 """
 
 from __future__ import annotations
@@ -14,17 +17,18 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .groebner import (
     ORDER_TAG,
     GroebnerBasis,
-    expected_standard_count,
+    expected_initial_ideal,
     is_groebner_basis,
+    normal_form,
     relation_ideal_basis,
-    standard_monomials,
 )
 from .relations import relations_by_recursion
+from .ring import Polynomial
 from .textform import ParseError, parse_poly
 
 CACHE_VERSION = 1
@@ -66,23 +70,24 @@ def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
     return target
 
 
-def _reduced_with_expected_count(gb: GroebnerBasis) -> bool:
-    """Nonzero, monic, sorted strictly ascending by lead, reduced, with C(g+2, 3)
-    standard monomials.  Cheap next to the S-polynomial check."""
-    elements = gb.elements
+def _has_genus_shape(elements: Sequence[Polynomial], genus: int) -> bool:
+    """Nonzero, monic, sorted strictly ascending by lead, leads all monomials
+    of standard degree g, tails of standard degree below g.  Linear time.
+
+    Leads of one degree never divide one another and tails below that degree
+    are standard, so such a set is reduced and its standard monomials are
+    the C(g+2, 3) monomials of degree below g."""
     if any(not p or p.leading_coefficient() != 1 for p in elements):
         return False
     leads = [p.leading_monomial() for p in elements]
     keys = [m.sort_key() for m in leads]
     if any(lo >= hi for lo, hi in zip(keys, keys[1:])):
         return False
-    if any(a.divides(b) for a in leads for b in leads if a != b):
+    if set(leads) != expected_initial_ideal(genus):
         return False
-    try:
-        sm = standard_monomials(gb)
-    except ValueError:
-        return False
-    return len(sm) == expected_standard_count(gb.genus) and sm.contains_tails(elements)
+    return all(
+        m.degree < genus for p, lm in zip(elements, leads) for m in p.terms if m != lm
+    )
 
 
 def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
@@ -103,12 +108,13 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         elements = tuple(parse_poly(text) for text in raw)
     except (ParseError, TypeError):
         return None
-    gb = GroebnerBasis(elements, genus=genus)
-    if not _reduced_with_expected_count(gb) or not is_groebner_basis(elements):
+    if not _has_genus_shape(elements, genus) or not is_groebner_basis(elements):
         return None
-    if all(gb.contains(p) for p in relations_by_recursion(genus).polynomials()):
-        return gb
-    return None
+    # untruncated normal forms: the genus tag is earned only once these vanish
+    generators = relations_by_recursion(genus).polynomials()
+    if any(normal_form(p, elements) for p in generators):
+        return None
+    return GroebnerBasis(elements, genus=genus)
 
 
 def relation_basis_cached(genus: int, cache_dir: Optional[str]) -> GroebnerBasis:

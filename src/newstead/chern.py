@@ -3,9 +3,12 @@
 Two bundles matter here: the rank g-1 quotient bundle pulled back from the
 Grassmannian embedding of the moduli space, and the tangent bundle of the
 moduli space itself.  Both total Chern classes have closed forms in the
-invariant classes, expanded here by direct truncated arithmetic in the
-weighted grading, deliberately independent of the power-series route; the
-agreement of the two pipelines is one of the package's cross-checks.
+invariant classes.  They are transcribed here independently of the
+generating series: each closed-form polynomial becomes a power series in t
+whose t^w coefficient is its weight-w component, and the series module's
+truncated arithmetic (products, exp, binomial series) expands them, never
+forming a term above the truncation weight.  The agreement of the two
+transcriptions is one of the package's cross-checks.
 
 The closed forms:
 
@@ -22,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import factorial
 from typing import Tuple
 
 from .groebner import GroebnerBasis, ideal_equal
-from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
+from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Polynomial
+from .series import PowerSeries, generating_series, series_binomial, series_exp
 
 __all__ = [
     "QUOTIENT_BUNDLE",
@@ -68,36 +72,9 @@ class GradedClass:
         return result
 
 
-def _components(p: Polynomial, max_weight: int) -> Tuple[Polynomial, ...]:
-    return tuple(p.homogeneous_component(w) for w in range(max_weight + 1))
-
-
-def _exp_truncated(x: Polynomial, max_weight: int) -> Polynomial:
-    """exp(x) truncated by weighted degree; x must have no constant term."""
-    if x.coefficient(Monomial()):
-        raise ValueError("exponential needs a zero constant term")
-    acc = ONE
-    term = ONE
-    for k in range(1, max_weight + 1):
-        term = (term * x).weight_truncate(max_weight) / k
-        if not term:
-            break
-        acc = acc + term
-    return acc
-
-
-def _one_minus_beta_power(exponent: Fraction, max_weight: int) -> Polynomial:
-    """(1 - beta)^exponent as a truncated binomial series in beta."""
-    acc = ONE
-    coeff = Fraction(1)
-    power = ONE
-    for k in range(1, max_weight // 2 + 1):
-        coeff *= Fraction(exponent - k + 1, k)
-        power = power * (-BETA)
-        if not coeff:
-            break
-        acc = acc + coeff * power
-    return acc
+def _graded(p: Polynomial, order: int) -> PowerSeries:
+    """p as a series in t whose t^w coefficient is its weight-w component."""
+    return PowerSeries([p.homogeneous_component(w) for w in range(order + 1)])
 
 
 def quotient_chern(max_weight: int) -> GradedClass:
@@ -109,15 +86,14 @@ def quotient_chern(max_weight: int) -> GradedClass:
     """
     if max_weight < 0:
         raise ValueError("truncation weight must be non-negative")
-    x = ALPHA if max_weight >= 1 else ZERO
-    m = 1
-    while 2 * m + 1 <= max_weight:
+    x = ALPHA
+    for m in range(1, (max_weight - 1) // 2 + 1):
         x = x + (ALPHA * BETA**m + 2 * GAMMA * BETA ** (m - 1)) / (2 * m + 1)
-        m += 1
-    total = _one_minus_beta_power(Fraction(-1, 2), max_weight) * _exp_truncated(
-        x, max_weight
+    minus_beta = _graded(-BETA, max_weight)
+    total = series_binomial(minus_beta, Fraction(-1, 2)) * series_exp(
+        _graded(x, max_weight)
     )
-    return GradedClass(QUOTIENT_BUNDLE, _components(total, max_weight))
+    return GradedClass(QUOTIENT_BUNDLE, total.coefficients)
 
 
 def tangent_chern(genus: int, max_weight: int) -> GradedClass:
@@ -132,36 +108,23 @@ def tangent_chern(genus: int, max_weight: int) -> GradedClass:
         raise ValueError("the tangent class needs genus at least 2")
     if max_weight < 0:
         raise ValueError("truncation weight must be non-negative")
-
-    base = _one_minus_beta_power(Fraction(genus), max_weight)
-
-    exp_part = ONE
-    gamma_power = ONE
-    kfact = 1
+    minus_beta = _graded(-BETA, max_weight)
+    exp_part = PowerSeries([ONE], order=max_weight)
     for k in range(1, max_weight // 3 + 1):
-        kfact *= k
-        gamma_power = gamma_power * (-4 * GAMMA)
-        geom = ZERO
-        for j in range((max_weight - 3 * k) // 2 + 1):
-            geom = geom + comb(k + j - 1, j) * BETA**j
-        exp_part = exp_part + (gamma_power * geom) / kfact
-
-    q_total = quotient_chern(max_weight).total()
-    q_squared = (q_total * q_total).weight_truncate(max_weight)
-    total = ((base * exp_part).weight_truncate(max_weight) * q_squared).weight_truncate(
-        max_weight
-    )
-    return GradedClass(TANGENT_MODULI, _components(total, max_weight))
+        gamma_term = _graded((-4 * GAMMA) ** k / factorial(k), max_weight)
+        exp_part = exp_part + gamma_term * series_binomial(minus_beta, -k)
+    q = PowerSeries(quotient_chern(max_weight).components)
+    total = series_binomial(minus_beta, genus) * exp_part * q * q
+    return GradedClass(TANGENT_MODULI, total.coefficients)
 
 
 def chern_matches_series(genus: int) -> bool:
     """Compare c_r(Q) with the t^r series coefficient for all r <= g+2.
 
-    The two sides come from independent expansion pipelines (graded
-    truncation here, t-truncation in the series module).
+    The two sides are independent transcriptions of the closed form that
+    share only the truncated series arithmetic; `relations-dual-path` and
+    `functional-equation` certify that arithmetic without it.
     """
-    from .series import generating_series
-
     graded = quotient_chern(genus + 2)
     series = generating_series(genus + 2)
     return all(

@@ -146,7 +146,14 @@ def _autoreduce(polys: Iterable[Polynomial]) -> List[Polynomial]:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements sorted by leading monomial."""
+    """Reduced Groebner basis: monic elements sorted by leading monomial.
+
+    A `genus` tag asserts that this is the basis of the genus-g relation
+    ideal.  That ideal is weighted homogeneous and its quotient is zero
+    above weight 3g-3 (every standard monomial has standard degree below
+    g), so a tagged basis drops every term above that weight before it
+    reduces; `pairing_ratio` relies on the tag too.
+    """
 
     elements: Tuple[Polynomial, ...]
     genus: Optional[int] = None
@@ -156,6 +163,9 @@ class GroebnerBasis:
         return tuple(p.leading_monomial() for p in self.elements)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
+        if self.genus is not None:
+            top = 3 * self.genus - 3
+            p = Polynomial._raw({m: q for m, q in p.terms.items() if m.weight <= top})
         return normal_form(p, self.elements)
 
     def contains(self, p: Polynomial) -> bool:

@@ -276,17 +276,6 @@ class Polynomial:
             {m: q for m, q in self._terms.items() if m.weight == weight}
         )
 
-    def weight_truncate(self, max_weight: int) -> "Polynomial":
-        """Drop all terms of weighted degree above `max_weight`."""
-        return Polynomial._raw(
-            {m: q for m, q in self._terms.items() if m.weight <= max_weight}
-        )
-
-    def max_weight(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no weighted degree")
-        return max(m.weight for m in self._terms)
-
     def sorted_terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
         """Terms in descending monomial order."""
         return tuple((m, self._terms[m]) for m in sorted(self._terms, reverse=True))

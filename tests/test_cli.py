@@ -4,8 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import newstead.chern
 import newstead.verify
 from newstead.betti import BettiTable
+from newstead.chern import GradedClass
 from newstead.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -17,6 +21,7 @@ from newstead.cli import (
 )
 from newstead.groebner import relation_ideal_basis
 from newstead.ring import ALPHA
+from newstead.series import PowerSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -25,6 +30,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, timeout=None):
+    """`python -m newstead ...` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "newstead", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
 
 
 class TestRelationsVerb:
@@ -125,6 +144,20 @@ class TestQueryVerbs:
         assert "c_1 = 2*a" in out
         assert "c_2 = 2*a^2 - b" in out
 
+    @pytest.mark.parametrize("genus, target", [(8, "ng"), (10, "q")])
+    def test_chern_golden_json(self, capsys, genus, target):
+        code, out, _ = run_cli(
+            capsys, "chern", "-g", str(genus), "--target", target, "--format", "json"
+        )
+        assert code == EXIT_OK
+        golden = GOLDEN / f"chern_g{genus}_{target}.json"
+        assert out == golden.read_text(encoding="utf-8")
+
+    def test_nf_above_top_weight_is_zero_in_bounded_time(self):
+        # a^100000 has weight far above 3g-3 = 6, where the quotient is zero
+        proc = run_module("nf", "-g", "3", "--poly", "a^100000", timeout=60)
+        assert (proc.returncode, proc.stdout.strip()) == (EXIT_OK, "0")
+
     def test_betti(self, capsys):
         code, out, _ = run_cli(capsys, "betti", "-g", "3", "--format", "json")
         assert code == EXIT_OK
@@ -222,6 +255,38 @@ class TestVerify:
         assert "g=3 betti-monotone: FAILED" in out
         assert "verify: 20/21 checks passed, 1 FAILED" in out
 
+    def test_dual_path_certifies_series_product(self, monkeypatch):
+        # chern and series share PowerSeries arithmetic, so a fault there
+        # must show up in the recursion, which uses no series
+        product = PowerSeries.__mul__
+
+        def lossy(self, other):
+            result = product(self, other)
+            if result is NotImplemented:
+                return result
+            return PowerSeries(result.coefficients[:-1], order=result.order)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", lossy)
+        checks, all_ok = newstead.verify.run_verify(2, 3)
+        assert not all_ok
+        assert ("g=2", "relations-dual-path", False, "") in checks
+        assert ("g=3", "relations-dual-path", False, "") in checks
+
+    def test_chern_matches_series_can_fail(self, monkeypatch):
+        honest = newstead.chern.quotient_chern
+
+        def tampered(max_weight):
+            graded = honest(max_weight)
+            components = list(graded.components)
+            components[1] = 2 * components[1]
+            return GradedClass(graded.label, tuple(components))
+
+        monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
+        checks, all_ok = newstead.verify.run_verify(2, 3)
+        assert not all_ok
+        assert ("g=2", "chern-matches-series", False, "") in checks
+        assert ("g=3", "chern-matches-series", False, "") in checks
+
 
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -309,6 +374,16 @@ class TestCache:
         self._poison(tmp_path, 3, lambda old: old[::-1])
         assert load_cached_basis(tmp_path, 3) is None
 
+    def test_huge_pure_powers_rejected_in_bounded_time(self, tmp_path):
+        # monic, sorted and reduced, but its leads span a box of 10^15
+        # candidate standard monomials
+        self._poison(tmp_path, 3, lambda old: ["c^100000", "b^100000", "a^100000"])
+        proc = run_module(
+            "hilbert", "-g", "3", "--cache-dir", str(tmp_path), timeout=60
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (EXIT_OK, "1 1 2 2 2 1 1")
+        assert load_cached_basis(tmp_path, 3) is not None  # rewritten
+
     def test_unusable_cache_dir_is_usage(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
@@ -346,14 +421,6 @@ class TestCache:
 
 class TestEntryPoint:
     def test_python_dash_m(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "newstead", "nf", "-g", "2", "--poly", "a^2"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("nf", "-g", "2", "--poly", "a^2")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "-b"

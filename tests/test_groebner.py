@@ -13,6 +13,7 @@ from newstead.groebner import (
     ideal_equal,
     initial_ideal_minimal_generators,
     is_groebner_basis,
+    normal_form,
     pairing_ratio,
     relation_ideal_basis,
     s_polynomial,
@@ -274,12 +275,29 @@ class TestIdealEqual:
         assert ideal_equal(triple, list(triple), basis1=gb2, basis2=gb2)
 
 
+class TestGenusTruncation:
+    @settings(max_examples=40, deadline=None)
+    @given(p=polynomials)
+    def test_matches_untruncated_normal_form(self, gb2, gb3, p):
+        # c^3 has weight 9, above 3g-3 for both genera
+        p = p + GAMMA**3
+        for gb in (gb2, gb3):
+            assert gb.normal_form(p) == normal_form(p, gb.elements)
+
+    def test_untagged_basis_is_not_truncated(self):
+        # a^7 - 1 is not weighted homogeneous, so no weight may be dropped
+        one = Polynomial.constant(1)
+        assert buchberger([ALPHA**7 - one]).normal_form(ALPHA**7) == one
+
+
 class TestGammaInclusion:
     @pytest.mark.parametrize("genus", range(1, 6))
     def test_gamma_multiples_land_in_next_ideal(self, genus):
         next_gb = relation_ideal_basis(genus + 1)
         for p in relations_by_recursion(genus).polynomials():
-            assert not next_gb.normal_form(GAMMA * p)
+            # untruncated: at low genus c*p lies above weight 3g-3, where
+            # the tagged basis would drop it without reducing
+            assert not normal_form(GAMMA * p, next_gb.elements)
 
 
 class TestUniquenessSupport:
