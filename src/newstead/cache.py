@@ -24,7 +24,6 @@ from .groebner import (
     GroebnerBasis,
     expected_initial_ideal,
     is_groebner_basis,
-    normal_form,
     relation_ideal_basis,
 )
 from .relations import relations_by_recursion
@@ -110,9 +109,10 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         return None
     if not _has_genus_shape(elements, genus) or not is_groebner_basis(elements):
         return None
-    # untruncated normal forms: the genus tag is earned only once these vanish
+    # untagged, so untruncated: the genus tag is earned only once these vanish
+    untagged = GroebnerBasis(elements)
     generators = relations_by_recursion(genus).polynomials()
-    if any(normal_form(p, elements) for p in generators):
+    if any(untagged.normal_form(p) for p in generators):
         return None
     return GroebnerBasis(elements, genus=genus)
 

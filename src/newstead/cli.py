@@ -35,6 +35,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 
+# the largest genus accepted: time and memory grow steeply with g, and the
+# g=30 basis already takes about 10 s on one Xeon core
+MAX_GENUS = 30
+
 __all__ = ["main", "run_verify", "save_cached_basis", "load_cached_basis"]
 
 
@@ -57,14 +61,16 @@ def _parse_genus_field(text: str, allow_range: bool) -> Tuple[int, int]:
             raise UsageError(f"malformed genus range {text!r}; use e.g. 1..8")
         if lo < 1 or hi < lo:
             raise UsageError(f"bad genus range {text!r}")
-        return lo, hi
-    try:
-        g = int(text)
-    except ValueError:
-        raise UsageError(f"malformed genus {text!r}")
-    if g < 1:
-        raise UsageError("genus must be at least 1")
-    return g, g
+    else:
+        try:
+            lo = hi = int(text)
+        except ValueError:
+            raise UsageError(f"malformed genus {text!r}")
+        if lo < 1:
+            raise UsageError("genus must be at least 1")
+    if hi > MAX_GENUS:
+        raise UsageError(f"genus {hi} is above the supported maximum {MAX_GENUS}")
+    return lo, hi
 
 
 def _parse_single_monomial(text: str) -> Monomial:

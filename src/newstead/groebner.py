@@ -7,10 +7,10 @@ and the quotient has dimension C(g+2, 3).  Everything here is exact; the
 reduced basis is unique, hence independent of generator order.
 
 Pair selection uses the normal strategy (smallest lcm degree first) with
-Buchberger's coprime criterion and the classic chain criterion.  Division
-always reduces by the basis element with the largest leading monomial that
-divides, which makes normal forms deterministic step by step (the final
-value is order-independent anyway).
+Buchberger's coprime criterion and the classic chain criterion, then one
+pass of interreduction.  Division pops terms largest first from a heap and
+reduces by the largest divisor lead, so normal forms are deterministic step
+by step; a `GroebnerBasis` builds its sorted reducer list once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import heapq
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -64,13 +65,25 @@ def _make_reducers(polys: Iterable[Polynomial]) -> List[_Reducer]:
     return entries
 
 
+def _heap_key(m: Monomial) -> Tuple[int, int, int]:
+    """Negated grevlex key: a min-heap pops the largest monomial first."""
+    key = m.sort_key()
+    return (-key[0], -key[1], -key[2])
+
+
 def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
     """Full multivariate division remainder of `work` (consumed) by the
-    reducers, which must be sorted ascending by leading monomial."""
+    reducers, which must be sorted ascending by leading monomial.  A term
+    enters the heap when it is new to `work`; entries of cancelled terms are
+    stale.  A step only adds terms below the one it pops."""
     out: Dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work)
-        cf = work.pop(m)
+    heap = [(_heap_key(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        cf = work.pop(m, None)
+        if cf is None:
+            continue
         # reversed scan: the first divisor found has the largest lead
         for lm, lc, tail in reversed(reducers):
             if lm.divides(m):
@@ -78,6 +91,8 @@ def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
                 factor = cf / lc
                 for tm, tc in tail.items():
                     key = Monomial(tm.a + qa, tm.b + qb, tm.c + qc)
+                    if key not in work:
+                        heapq.heappush(heap, (_heap_key(key), key))
                     value = work.get(key, 0) - factor * tc
                     if value:
                         work[key] = value
@@ -112,36 +127,25 @@ def normal_form(
     p: Polynomial, basis: Union["GroebnerBasis", Sequence[Polynomial]]
 ) -> Polynomial:
     """Remainder of p modulo the basis; linear and idempotent."""
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else tuple(basis)
-    return Polynomial._raw(_reduce_terms(dict(p.terms), _make_reducers(elements)))
+    reducers = (
+        basis._reducers if isinstance(basis, GroebnerBasis) else _make_reducers(basis)
+    )
+    return Polynomial._raw(_reduce_terms(dict(p.terms), reducers))
 
 
-def _autoreduce(polys: Iterable[Polynomial]) -> List[Polynomial]:
-    """Reduce every element modulo the others until stable.
-
-    Ideal-preserving for arbitrary input; applied to a Groebner basis it
-    yields the reduced basis, sorted ascending by leading monomial.
-    """
-    current = [p.monic() for p in polys if p]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            others = current[:i] + current[i + 1 :]
-            if not others:
-                break
-            reduced = Polynomial._raw(
-                _reduce_terms(dict(current[i].terms), _make_reducers(others))
-            )
-            if reduced != current[i]:
-                changed = True
-                if reduced:
-                    current[i] = reduced.monic()
-                else:
-                    del current[i]
-                break
-    current.sort(key=lambda p: p.leading_monomial().sort_key())
-    return current
+def _interreduce(reducers: List[_Reducer]) -> Tuple[Polynomial, ...]:
+    """Reduced basis from the monic reducers of a Groebner basis, sorted by
+    lead, in one pass: drop each element whose lead an earlier kept lead
+    divides, then reduce each kept tail once against the kept set (Cox,
+    Little, O'Shea, Ideals, Varieties, and Algorithms, section 2.7)."""
+    kept: List[_Reducer] = []
+    for entry in reducers:
+        if not any(k[0].divides(entry[0]) for k in kept):
+            kept.append(entry)
+    return tuple(
+        Polynomial._raw({lm: lc, **_reduce_terms(dict(tail), kept)})
+        for lm, lc, tail in kept
+    )
 
 
 @dataclass(frozen=True)
@@ -162,11 +166,16 @@ class GroebnerBasis:
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(p.leading_monomial() for p in self.elements)
 
+    @cached_property
+    def _reducers(self) -> List[_Reducer]:
+        # not a field, so equality and hashing ignore it
+        return _make_reducers(self.elements)
+
     def normal_form(self, p: Polynomial) -> Polynomial:
         if self.genus is not None:
             top = 3 * self.genus - 3
             p = Polynomial._raw({m: q for m, q in p.terms.items() if m.weight <= top})
-        return normal_form(p, self.elements)
+        return normal_form(p, self)
 
     def contains(self, p: Polynomial) -> bool:
         return not self.normal_form(p)
@@ -182,10 +191,8 @@ def buchberger(
             raise TypeError(f"generator {p!r} is not a Polynomial")
         if not p:
             raise ValueError("generators must be nonzero")
-    basis = _autoreduce(gens)
-    if not basis:
-        return GroebnerBasis((), genus=genus)
-
+    # the reduced basis is unique, so the pair loop may start unreduced
+    basis = [p.monic() for p in gens]
     lms = [p.leading_monomial() for p in basis]
     reducers = _make_reducers(basis)
     heap: List[Tuple[int, Tuple[int, int, int], int, int]] = []
@@ -209,17 +216,12 @@ def buchberger(
         big = lmi.lcm(lmj)
         # chain criterion: some third lead divides the lcm and both side
         # pairs have already left the queue
-        skippable = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if lms[k].divides(big):
-                pik = (i, k) if i < k else (k, i)
-                pjk = (j, k) if j < k else (k, j)
-                if pik not in pending and pjk not in pending:
-                    skippable = True
-                    break
-        if skippable:
+        if any(
+            k != i and k != j and lms[k].divides(big)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(basis))
+        ):
             continue
         remainder = _reduce_terms(dict(s_polynomial(basis[i], basis[j]).terms), reducers)
         if not remainder:
@@ -232,7 +234,7 @@ def buchberger(
         for k in range(fresh):
             queue(k, fresh)
 
-    return GroebnerBasis(tuple(_autoreduce(basis)), genus=genus)
+    return GroebnerBasis(_interreduce(reducers), genus=genus)
 
 
 def relation_ideal_basis(genus: int) -> GroebnerBasis:
@@ -298,12 +300,8 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
     """
     lms = gb.leading_monomials()
     bounds = []
-    for pick in (
-        lambda m: (m.a, m.b == 0 and m.c == 0),
-        lambda m: (m.b, m.a == 0 and m.c == 0),
-        lambda m: (m.c, m.a == 0 and m.b == 0),
-    ):
-        pure = [pick(m)[0] for m in lms if pick(m)[1]]
+    for i in range(3):
+        pure = [m[i] for m in lms if m[i] == m.degree]  # powers of variable i
         if not pure:
             raise ValueError(
                 "quotient ring is infinite dimensional (no pure power of "

@@ -15,6 +15,8 @@ from newstead.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    MAX_GENUS,
+    _parse_genus_field,
     load_cached_basis,
     main,
     save_cached_basis,
@@ -183,6 +185,25 @@ class TestExitCodes:
     def test_genus_below_one_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "relations", "-g", "0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "-g", str(MAX_GENUS + 1), "--poly", "a"),
+            ("verify", "-g", f"1..{MAX_GENUS + 1}"),
+        ],
+    )
+    def test_genus_above_maximum_is_usage_at_once(self, argv):
+        proc = run_module(*argv, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: genus {MAX_GENUS + 1} is above the supported maximum {MAX_GENUS}\n"
+        )
+
+    def test_genus_at_maximum_is_accepted(self):
+        assert _parse_genus_field(str(MAX_GENUS), allow_range=False) == (MAX_GENUS,) * 2
+        assert _parse_genus_field(f"1..{MAX_GENUS}", allow_range=True) == (1, MAX_GENUS)
 
     def test_range_outside_verify_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "relations", "-g", "1..3")

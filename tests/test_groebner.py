@@ -1,10 +1,14 @@
+import dataclasses
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import newstead.groebner
 from newstead.groebner import (
+    GroebnerBasis,
     buchberger,
     complete_intersection_hilbert,
     expected_initial_ideal,
@@ -20,7 +24,7 @@ from newstead.groebner import (
     standard_monomials,
 )
 from newstead.relations import relations_by_recursion
-from newstead.ring import ALPHA, BETA, GAMMA, Monomial, Polynomial
+from newstead.ring import ALPHA, BETA, GAMMA, ONE, Monomial, Polynomial
 from newstead.series import generating_series, taylor_derivative
 
 monomials = st.builds(
@@ -28,6 +32,18 @@ monomials = st.builds(
 )
 coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
 polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(Polynomial)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def top_weight_monomials(genus):
+    top = 3 * genus - 3
+    return [
+        Monomial(a, b, (top - a - 2 * b) // 3)
+        for a in range(top + 1)
+        for b in range((top - a) // 2 + 1)
+        if (top - a - 2 * b) % 3 == 0
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +106,81 @@ class TestBuchberger:
             others = [lm for j, lm in enumerate(leads) if j != i]
             for m in p.terms:
                 assert not any(lm.divides(m) for lm in others)
+
+
+class TestRedundantGenerators:
+    """The one-pass interreduction must return the reduced basis whatever
+    redundancy the generators carry."""
+
+    def test_duplicates(self):
+        triple = relations_by_recursion(3).polynomials()
+        assert buchberger(triple + triple).elements == relation_ideal_basis(3).elements
+
+    def test_scalar_multiples(self):
+        triple = relations_by_recursion(3).polynomials()
+        scaled = [p * k for p in triple for k in (Fraction(-2, 3), 1, 5)]
+        assert buchberger(scaled).elements == relation_ideal_basis(3).elements
+
+    def test_equal_leads(self):
+        gens = [ALPHA**2 + BETA, 2 * ALPHA**2 + 2 * BETA, ALPHA**2, 3 * BETA]
+        assert buchberger(gens).elements == (BETA, ALPHA**2)
+
+    @pytest.mark.parametrize("rotation", range(4))
+    def test_shuffled_with_ideal_members(self, rotation):
+        f1, f2, f3 = relations_by_recursion(4).polynomials()
+        gens = [f1, f2, f3, ALPHA * f1 + BETA * f2, f3 - GAMMA * f1]
+        gens = gens[rotation:] + gens[:rotation]
+        assert buchberger(gens).elements == relation_ideal_basis(4).elements
+
+    def test_basis_elements_as_generators(self):
+        gb = relation_ideal_basis(4)
+        gens = list(reversed(gb.elements)) + [p * 2 for p in gb.elements]
+        assert buchberger(gens).elements == gb.elements
+
+    def test_unit_ideal(self):
+        assert buchberger([ALPHA + ONE, ALPHA, BETA**2]).elements == (ONE,)
+        assert buchberger([3 * ONE, GAMMA]).elements == (ONE,)
+
+
+class TestGoldenBasis:
+    def test_genus_twelve_byte_for_byte(self):
+        # recorded from the restarting interreduction it replaced
+        text = "".join(f"{p}\n" for p in relation_ideal_basis(12).elements)
+        assert text == (GOLDEN / "basis_g12.txt").read_text(encoding="utf-8")
+
+
+class TestReducerCache:
+    def test_reducers_built_once_per_basis(self, monkeypatch):
+        gb = relation_ideal_basis(3)
+        built = []
+        real = newstead.groebner._make_reducers
+
+        def counting(polys):
+            built.append(1)
+            return real(polys)
+
+        monkeypatch.setattr(newstead.groebner, "_make_reducers", counting)
+        for mono in top_weight_monomials(3):
+            pairing_ratio(mono, gb)
+        for p in relations_by_recursion(3).polynomials():
+            assert not gb.normal_form(p)
+        assert gb.normal_form(ALPHA**2 * BETA) == gb.normal_form(ALPHA**2 * BETA)
+        assert len(built) == 1
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        gb = relation_ideal_basis(3)
+        twin = GroebnerBasis(gb.elements, genus=3)
+        before = hash(gb)
+        gb.normal_form(ALPHA**4)
+        assert hash(gb) == before == hash(twin)
+        assert gb == twin and repr(gb) == repr(twin)
+        assert gb != GroebnerBasis(gb.elements)
+        names = [f.name for f in dataclasses.fields(gb)]
+        assert names == ["elements", "genus", "order_tag"]
+
+    def test_sequence_and_basis_agree(self, gb3):
+        p = (ALPHA + 2 * BETA - GAMMA) ** 3
+        assert normal_form(p, gb3) == normal_form(p, list(gb3.elements))
 
 
 class TestInitialIdeal:
@@ -335,4 +426,21 @@ class TestConcurrentUse:
         expected = [gb3.normal_form(p) for p in polys]
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(gb3.normal_form, polys))
+        assert results == expected
+
+    def test_threads_race_to_build_the_reducers(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        polys = [(ALPHA + BETA) ** k + GAMMA ** (k % 3) for k in range(16)]
+        expected = [relation_ideal_basis(3).normal_form(p) for p in polys]
+        gb = relation_ideal_basis(3)  # fresh: no reducer list built yet
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(gb.normal_form, p) for p in polys]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
         assert results == expected
