@@ -2,13 +2,16 @@
 
 A loaded file is never trusted.  It must be monic and sorted strictly
 ascending by lead, its leads must be exactly the monomials of standard degree
-g and every other term must have standard degree below g; its S-polynomials
-and the relation generators must reduce to zero.  The shape checks cost time
-linear in the file and imply that the set is reduced with C(g+2, 3) standard
-monomials.  Then it is a Groebner basis of an ideal I containing the genus-g
-ideal J with dim Q[a,b,c]/I = dim Q[a,b,c]/J, so I = J, and as the reduced
-basis of an ideal is unique, the file is bit-identical to a freshly computed
-basis.
+g and every other term must have standard degree below g; the S-polynomials
+left after the coprime and chain criteria (g(g+2) of them for a genus-g file)
+and the relation generators must reduce to zero.  Skipping the others is
+still sound, because with pairs taken in one fixed order each skipped
+S-polynomial has an lcm-representation built from pairs handled before it.
+The shape checks cost time linear in the file and imply that the set is
+reduced with C(g+2, 3) standard monomials.  Then it is a Groebner basis of an
+ideal I containing the genus-g ideal J with dim Q[a,b,c]/I = dim Q[a,b,c]/J,
+so I = J, and as the reduced basis of an ideal is unique, the file is
+bit-identical to a freshly computed basis.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .groebner import (
     GroebnerBasis,
     expected_initial_ideal,
     is_groebner_basis,
+    normal_form,
     relation_ideal_basis,
 )
 from .relations import relations_by_recursion
@@ -107,14 +111,18 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         elements = tuple(parse_poly(text) for text in raw)
     except (ParseError, TypeError):
         return None
-    if not _has_genus_shape(elements, genus) or not is_groebner_basis(elements):
+    if not _has_genus_shape(elements, genus):
         return None
-    # untagged, so untruncated: the genus tag is earned only once these vanish
-    untagged = GroebnerBasis(elements)
-    generators = relations_by_recursion(genus).polynomials()
-    if any(untagged.normal_form(p) for p in generators):
+    # The tag is handed out only if both checks below pass, and neither reads
+    # it: the module-level normal_form never truncates.  One basis object
+    # means one reducer list for the certificate, the generators and the
+    # caller's later normal forms.
+    gb = GroebnerBasis(elements, genus=genus)
+    if not is_groebner_basis(gb) or any(
+        normal_form(p, gb) for p in relations_by_recursion(genus).polynomials()
+    ):
         return None
-    return GroebnerBasis(elements, genus=genus)
+    return gb
 
 
 def relation_basis_cached(genus: int, cache_dir: Optional[str]) -> GroebnerBasis:

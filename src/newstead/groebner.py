@@ -8,9 +8,12 @@ reduced basis is unique, hence independent of generator order.
 
 Pair selection uses the normal strategy (smallest lcm degree first) with
 Buchberger's coprime criterion and the classic chain criterion, then one
-pass of interreduction.  Division pops terms largest first from a heap and
-reduces by the largest divisor lead, so normal forms are deterministic step
-by step; a `GroebnerBasis` builds its sorted reducer list once.
+pass of interreduction.  The certificate `is_groebner_basis` takes its pairs
+from the same selection, so for a genus-g basis it reduces g(g+2)
+S-polynomials instead of all C(C(g+2, 2), 2).  Division pops terms largest
+first from a heap and reduces by the largest divisor lead, so normal forms
+are deterministic step by step; a `GroebnerBasis` builds its sorted reducer
+list once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ring import Monomial, Polynomial
 
@@ -108,18 +111,18 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The syzygy polynomial cancelling the two leading terms."""
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     big = lmf.lcm(lmg)
-    left = _mono_scale(f, big // lmf, 1 / f.leading_coefficient())
-    right = _mono_scale(g, big // lmg, 1 / g.leading_coefficient())
+    left = _mono_scale(f, big // lmf, 1 / f.terms[lmf])
+    right = _mono_scale(g, big // lmg, 1 / g.terms[lmg])
     return left - right
 
 
 def _mono_scale(p: Polynomial, mono: Monomial, scalar) -> Polynomial:
     q = Fraction(scalar)
+    terms = p.terms.items()
+    if q != 1:  # a monic input, such as a basis element, needs no products
+        terms = [(m, v * q) for m, v in terms]
     return Polynomial._raw(
-        {
-            Monomial(m.a + mono.a, m.b + mono.b, m.c + mono.c): v * q
-            for m, v in p.terms.items()
-        }
+        {Monomial(m.a + mono.a, m.b + mono.b, m.c + mono.c): v for m, v in terms}
     )
 
 
@@ -181,6 +184,49 @@ class GroebnerBasis:
         return not self.normal_form(p)
 
 
+def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
+    """Index pairs (i, j), i < j, of the leads whose S-polynomials must be
+    reduced, in normal-strategy order: by the lcm's `sort_key`, whose first
+    entry is its degree, then by index.  A lead the caller appends to `lms`
+    between two pairs is paired with every earlier lead before the next pair
+    is chosen.
+
+    Skipped are pairs with coprime leads (Buchberger's first criterion) and
+    pairs whose lcm a third lead divides while neither side pair is still
+    queued (the chain criterion).  Every side pair left the queue earlier
+    in this fixed order, so by induction along it each skipped S-polynomial
+    has an lcm-representation; hence a set whose yielded S-polynomials all
+    reduce to zero is a Groebner basis (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, the section on improvements to Buchberger's
+    algorithm)."""
+    heap: List[Tuple[Tuple[int, int, int], int, int]] = []
+    pending = set()
+    paired = 0
+    while True:
+        for j in range(paired, len(lms)):
+            for i in range(j):
+                heapq.heappush(heap, (lms[i].lcm(lms[j]).sort_key(), i, j))
+                pending.add((i, j))
+        paired = len(lms)
+        if not heap:
+            return
+        key, i, j = heapq.heappop(heap)
+        pending.discard((i, j))
+        lmi, lmj = lms[i], lms[j]
+        # the lcm is the product exactly when the leads are coprime
+        if key[0] == lmi.degree + lmj.degree:
+            continue
+        ba, bb, bc = lmi.lcm(lmj)
+        if any(
+            a <= ba and b <= bb and c <= bc and k != i and k != j
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (a, b, c) in enumerate(lms)
+        ):
+            continue
+        yield i, j
+
+
 def buchberger(
     generators: Iterable[Polynomial], genus: Optional[int] = None
 ) -> GroebnerBasis:
@@ -195,34 +241,7 @@ def buchberger(
     basis = [p.monic() for p in gens]
     lms = [p.leading_monomial() for p in basis]
     reducers = _make_reducers(basis)
-    heap: List[Tuple[int, Tuple[int, int, int], int, int]] = []
-    pending = set()
-
-    def queue(i: int, j: int) -> None:
-        big = lms[i].lcm(lms[j])
-        heapq.heappush(heap, (big.degree, big.sort_key(), i, j))
-        pending.add((i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            queue(i, j)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lmi, lmj = lms[i], lms[j]
-        if lmi.coprime(lmj):
-            continue
-        big = lmi.lcm(lmj)
-        # chain criterion: some third lead divides the lcm and both side
-        # pairs have already left the queue
-        if any(
-            k != i and k != j and lms[k].divides(big)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(basis))
-        ):
-            continue
+    for i, j in _critical_pairs(lms):
         remainder = _reduce_terms(dict(s_polynomial(basis[i], basis[j]).terms), reducers)
         if not remainder:
             continue
@@ -230,10 +249,6 @@ def buchberger(
         basis.append(new)
         lms.append(new.leading_monomial())
         insort(reducers, _reducer_entry(new), key=_reducer_key)
-        fresh = len(basis) - 1
-        for k in range(fresh):
-            queue(k, fresh)
-
     return GroebnerBasis(_interreduce(reducers), genus=genus)
 
 
@@ -245,16 +260,19 @@ def relation_ideal_basis(genus: int) -> GroebnerBasis:
     return buchberger(triple.polynomials(), genus=genus)
 
 
-def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
-    """Buchberger's criterion: every S-polynomial reduces to zero."""
-    polys = [p for p in polys if p]
-    reducers = _make_reducers(polys)
-    for j in range(len(polys)):
-        for i in range(j):
-            s = s_polynomial(polys[i], polys[j])
-            if _reduce_terms(dict(s.terms), reducers):
-                return False
-    return True
+def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool:
+    """Buchberger's criterion: every S-polynomial left after the coprime and
+    chain criteria of `_critical_pairs` reduces to zero."""
+    if isinstance(basis, GroebnerBasis):
+        polys, reducers = [p for p in basis.elements if p], basis._reducers
+    else:
+        polys = [p for p in basis if p]
+        reducers = _make_reducers(polys)
+    lms = [p.leading_monomial() for p in polys]
+    return not any(
+        _reduce_terms(dict(s_polynomial(polys[i], polys[j]).terms), reducers)
+        for i, j in _critical_pairs(lms)
+    )
 
 
 def initial_ideal_minimal_generators(gb: GroebnerBasis) -> frozenset:

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import newstead.chern
+import newstead.groebner
 import newstead.verify
 from newstead.betti import BettiTable
 from newstead.chern import GradedClass
@@ -22,10 +25,18 @@ from newstead.cli import (
     save_cached_basis,
 )
 from newstead.groebner import relation_ideal_basis
-from newstead.ring import ALPHA
+from newstead.ring import ALPHA, Monomial, Polynomial
 from newstead.series import PowerSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GENUS5 = relation_ideal_basis(5)
+GENUS5_TAILS = [
+    (i, m)
+    for i, p in enumerate(GENUS5.elements)
+    for m in sorted(p.terms, key=Monomial.sort_key)
+    if m != p.leading_monomial()
+]
 
 
 def run_cli(capsys, *argv):
@@ -404,6 +415,70 @@ class TestCache:
         )
         assert (proc.returncode, proc.stdout.strip()) == (EXIT_OK, "1 1 2 2 2 1 1")
         assert load_cached_basis(tmp_path, 3) is not None  # rewritten
+
+    @pytest.mark.parametrize(
+        "index, mono", GENUS5_TAILS, ids=[f"{i}-{m}" for i, m in GENUS5_TAILS]
+    )
+    def test_any_tail_coefficient_change_rejected(self, tmp_path, index, mono):
+        def tamper(old):
+            p = GENUS5.elements[index]
+            old[index] = str(Polynomial({**p.terms, mono: p.terms[mono] + 1}))
+            return old
+
+        self._poison(tmp_path, 5, tamper)
+        assert load_cached_basis(tmp_path, 5) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), genus=st.sampled_from([3, 4]))
+    def test_perturbed_file_never_loads_another_basis(self, data, genus):
+        gb = relation_ideal_basis(genus)
+        elements = list(gb.elements)
+        tails = [
+            (i, m) for i, p in enumerate(elements)
+            for m in p.terms if m != p.leading_monomial()
+        ]
+        kind = data.draw(st.sampled_from(["coefficient", "add", "drop", "swap"]))
+        if kind == "swap":
+            i, j = data.draw(st.lists(
+                st.integers(0, len(elements) - 1), min_size=2, max_size=2, unique=True
+            ))
+            elements[i], elements[j] = elements[j], elements[i]
+        elif kind == "add":
+            i = data.draw(st.integers(0, len(elements) - 1))
+            exponent = st.integers(0, genus)
+            m = data.draw(st.builds(Monomial, exponent, exponent, exponent).filter(
+                lambda m: m not in elements[i].terms
+            ))
+            c = data.draw(st.integers(-3, 3).filter(bool))
+            elements[i] = elements[i] + Polynomial({m: c})
+        else:
+            i, m = data.draw(st.sampled_from(tails))
+            old = elements[i].terms[m]
+            c = 0 if kind == "drop" else data.draw(
+                st.integers(-3, 3).filter(lambda c: c != old)
+            )
+            elements[i] = Polynomial({**elements[i].terms, m: c})
+        with tempfile.TemporaryDirectory() as cache_dir:
+            self._poison(cache_dir, genus, lambda old: [str(p) for p in elements])
+            loaded = load_cached_basis(cache_dir, genus)
+        assert loaded is None or loaded == gb
+
+    def test_reducers_built_once_per_load(self, tmp_path, monkeypatch):
+        gb = relation_ideal_basis(6)
+        save_cached_basis(tmp_path, gb)
+        expected = gb.normal_form(ALPHA**9)
+        built = []
+        real = newstead.groebner._make_reducers
+
+        def counting(polys):
+            built.append(1)
+            return real(polys)
+
+        monkeypatch.setattr(newstead.groebner, "_make_reducers", counting)
+        loaded = load_cached_basis(tmp_path, 6)
+        assert loaded == gb
+        assert loaded.normal_form(ALPHA**9) == expected
+        assert len(built) == 1
 
     def test_unusable_cache_dir_is_usage(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -108,6 +108,86 @@ class TestBuchberger:
                 assert not any(lm.divides(m) for lm in others)
 
 
+def all_pairs_certificate(polys):
+    """Buchberger's criterion without pair criteria: the reference."""
+    polys = [p for p in polys if p]
+    return all(
+        not normal_form(s_polynomial(polys[i], polys[j]), polys)
+        for j in range(len(polys))
+        for i in range(j)
+    )
+
+
+def tail_tampers(elements):
+    """Each copy of `elements` with one tail coefficient raised by one."""
+    for i, p in enumerate(elements):
+        lead = p.leading_monomial()
+        for m in p.terms:
+            if m != lead:
+                changed = Polynomial({**p.terms, m: p.terms[m] + 1})
+                yield elements[:i] + (changed,) + elements[i + 1:]
+
+
+# exponents below 3 and few terms keep Buchberger on random input fast
+small_monomials = st.builds(
+    Monomial, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
+)
+nonzero_polynomials = (
+    st.dictionaries(small_monomials, coefficients, min_size=1, max_size=3)
+    .map(Polynomial)
+)
+
+
+@st.composite
+def polynomial_sets(draw):
+    """Small sets with duplicates, scalar multiples (equal leads), monomial
+    multiples and, often, coprime leads.  A third start from a basis that
+    `buchberger` computed; about three in five are Groebner bases."""
+    polys = draw(st.lists(nonzero_polynomials, min_size=2, max_size=4))
+    if draw(st.integers(0, 2)) == 0:
+        polys = list(buchberger(polys[:3]).elements)
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.sampled_from(polys))
+        factor = draw(st.sampled_from([ONE, ONE, 2 * ONE, ALPHA, GAMMA]))
+        polys.append(p * factor)
+    return draw(st.permutations(polys))
+
+
+class TestCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(polys=polynomial_sets())
+    def test_agrees_with_all_pairs(self, polys):
+        assert is_groebner_basis(polys) == all_pairs_certificate(polys)
+
+    @pytest.mark.parametrize("genus", range(2, 9))
+    def test_genus_basis_reduces_neighbouring_pairs_only(self, genus, monkeypatch):
+        # leads (a,b,c)^g have a linear resolution with g(g+2) first syzygies
+        elements = relation_ideal_basis(genus).elements
+        reduced = []
+        real = newstead.groebner.s_polynomial
+
+        def counting(f, g):
+            reduced.append(1)
+            return real(f, g)
+
+        monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
+        assert is_groebner_basis(elements)
+        assert len(reduced) == genus * (genus + 2)
+
+    @pytest.mark.parametrize("genus", [3, 4, 5])
+    def test_tail_tampers_rejected_like_all_pairs(self, genus):
+        tampers = list(tail_tampers(relation_ideal_basis(genus).elements))
+        assert tampers
+        for polys in tampers:
+            assert not is_groebner_basis(polys)
+            assert not all_pairs_certificate(polys)
+
+    def test_basis_and_sequence_agree(self, gb3):
+        assert is_groebner_basis(gb3) and is_groebner_basis(list(gb3.elements))
+        triple = GroebnerBasis(tuple(relations_by_recursion(3).polynomials()))
+        assert not is_groebner_basis(triple)
+
+
 class TestRedundantGenerators:
     """The one-pass interreduction must return the reduced basis whatever
     redundancy the generators carry."""
@@ -366,6 +446,18 @@ class TestIdealEqual:
         assert ideal_equal(triple, list(triple), basis1=gb2, basis2=gb2)
 
 
+def mixed_weight_polynomials(genus):
+    """Random polynomials with a term at or below weight 3g-3 and one above."""
+    top = 3 * genus - 3
+    box = [Monomial(a, b, c) for a in range(5) for b in range(5) for c in range(5)]
+    below = st.sampled_from([m for m in box if m.weight <= top])
+    above = st.sampled_from([m for m in box if m.weight > top])
+    return st.builds(
+        lambda p, lo, hi, x, y: p + Polynomial({lo: x, hi: y}),
+        polynomials, below, above, coefficients, coefficients,
+    )
+
+
 class TestGenusTruncation:
     @settings(max_examples=40, deadline=None)
     @given(p=polynomials)
@@ -374,6 +466,17 @@ class TestGenusTruncation:
         p = p + GAMMA**3
         for gb in (gb2, gb3):
             assert gb.normal_form(p) == normal_form(p, gb.elements)
+
+    @pytest.mark.parametrize("genus", [2, 3, 4])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), k=coefficients)
+    def test_linear_and_idempotent_off_homogeneous(self, genus, data, k):
+        nf = relation_ideal_basis(genus).normal_form
+        p = data.draw(mixed_weight_polynomials(genus))
+        q = data.draw(mixed_weight_polynomials(genus))
+        assert nf(p + q) == nf(p) + nf(q)
+        assert nf(k * p) == k * nf(p)
+        assert nf(nf(p)) == nf(p)
 
     def test_untagged_basis_is_not_truncated(self):
         # a^7 - 1 is not weighted homogeneous, so no weight may be dropped
