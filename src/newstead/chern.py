@@ -10,13 +10,18 @@ truncated arithmetic (products, exp, binomial series) expands them, never
 forming a term above the truncation weight.  The agreement of the two
 transcriptions is one of the package's cross-checks.
 
-The closed forms:
+The closed forms, with x = alpha + sum_{m>=1} (alpha beta^m + 2 gamma
+beta^(m-1)) / (2m+1):
 
-    c(Q)  = (1 - beta)^(-1/2)
-            * exp[ alpha + sum_{m>=1} (alpha beta^m + 2 gamma beta^(m-1)) / (2m+1) ]
+    c(Q)  = (1 - beta)^(-1/2) * exp(x)
     c(T)  = (1 - beta)^g * exp(-4 gamma / (1 - beta)) * c(Q)^2
+          = (1 - beta)^(g-1) * exp(2x - 4 gamma sum_{j>=0} beta^j)
 
 where the graded component of weighted degree w is the w-th Chern class.
+The second form of c(T) follows from c(Q)^2 = (1 - beta)^(-1) exp(2x) and
+1/(1 - beta) = sum_j beta^j; it is what `tangent_chern` expands, one
+binomial series times one exponential.
+
 Above weighted degree 2g-2 every component of c(T) lies in the relation
 ideal, i.e. vanishes in the cohomology ring.
 """
@@ -25,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Tuple
 
 from .groebner import GroebnerBasis, ideal_equal
-from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Polynomial
+from .ring import ALPHA, BETA, GAMMA, ZERO, Polynomial
 from .series import PowerSeries, generating_series, series_binomial, series_exp
 
 __all__ = [
@@ -77,21 +81,37 @@ def _graded(p: Polynomial, order: int) -> PowerSeries:
     return PowerSeries([p.homogeneous_component(w) for w in range(order + 1)])
 
 
-def quotient_chern(max_weight: int) -> GradedClass:
-    """Total Chern class of the pulled-back quotient bundle, graded.
+def _quotient_exponent(max_weight: int) -> Polynomial:
+    """The exponent x of c(Q), through weight max_weight.
 
-    The exponent is assembled from the two beta-free families
-    alpha beta^m / (2m+1) and 2 gamma beta^(m-1) / (2m+1), so no division
-    by beta ever happens.
+    It is assembled from the two beta-free families alpha beta^m / (2m+1)
+    and 2 gamma beta^(m-1) / (2m+1), so no division by beta ever happens.
     """
-    if max_weight < 0:
-        raise ValueError("truncation weight must be non-negative")
     x = ALPHA
     for m in range(1, (max_weight - 1) // 2 + 1):
         x = x + (ALPHA * BETA**m + 2 * GAMMA * BETA ** (m - 1)) / (2 * m + 1)
+    return x
+
+
+def _tangent_exponent(max_weight: int) -> Polynomial:
+    """2x - 4 gamma sum_{j>=0} beta^j, through weight max_weight.
+
+    gamma beta^j has weight 2j+3, so the geometric sum stops at
+    j = (max_weight-3)//2.
+    """
+    y = 2 * _quotient_exponent(max_weight)
+    for j in range((max_weight - 3) // 2 + 1):
+        y = y - 4 * GAMMA * BETA**j
+    return y
+
+
+def quotient_chern(max_weight: int) -> GradedClass:
+    """Total Chern class of the pulled-back quotient bundle, graded."""
+    if max_weight < 0:
+        raise ValueError("truncation weight must be non-negative")
     minus_beta = _graded(-BETA, max_weight)
     total = series_binomial(minus_beta, Fraction(-1, 2)) * series_exp(
-        _graded(x, max_weight)
+        _graded(_quotient_exponent(max_weight), max_weight)
     )
     return GradedClass(QUOTIENT_BUNDLE, total.coefficients)
 
@@ -99,22 +119,18 @@ def quotient_chern(max_weight: int) -> GradedClass:
 def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     """Total Chern class of the tangent bundle of the genus-g moduli space.
 
-    Expanded as (1-beta)^g * exp(-4 gamma / (1-beta)) * c(Q)^2 with the
-    exponential handled as sum_k (-4 gamma)^k (1-beta)^(-k) / k!; gamma has
-    weight 3, so the k-sum stops at max_weight // 3 and no rational
-    function arithmetic is needed.
+    Expanded as (1-beta)^(g-1) * exp(2x - 4 gamma sum_j beta^j), the closed
+    form (1-beta)^g * exp(-4 gamma / (1-beta)) * c(Q)^2 rewritten with
+    c(Q)^2 = (1-beta)^(-1) exp(2x): one binomial series times one
+    exponential, and no rational function arithmetic.
     """
     if genus < 2:
         raise ValueError("the tangent class needs genus at least 2")
     if max_weight < 0:
         raise ValueError("truncation weight must be non-negative")
-    minus_beta = _graded(-BETA, max_weight)
-    exp_part = PowerSeries([ONE], order=max_weight)
-    for k in range(1, max_weight // 3 + 1):
-        gamma_term = _graded((-4 * GAMMA) ** k / factorial(k), max_weight)
-        exp_part = exp_part + gamma_term * series_binomial(minus_beta, -k)
-    q = PowerSeries(quotient_chern(max_weight).components)
-    total = series_binomial(minus_beta, genus) * exp_part * q * q
+    total = series_binomial(_graded(-BETA, max_weight), genus - 1) * series_exp(
+        _graded(_tangent_exponent(max_weight), max_weight)
+    )
     return GradedClass(TANGENT_MODULI, total.coefficients)
 
 

@@ -38,6 +38,8 @@ EXIT_PARSE = 3
 # the largest genus accepted: time and memory grow steeply with g, and the
 # g=30 basis already takes about 10 s on one Xeon core
 MAX_GENUS = 30
+# the largest `chern --max-weight`: the top weight 3g-3 at the largest genus
+MAX_WEIGHT = 3 * MAX_GENUS - 3
 
 __all__ = ["main", "run_verify", "save_cached_basis", "load_cached_basis"]
 
@@ -206,6 +208,10 @@ def _cmd_chern(args) -> int:
     max_weight = args.max_weight if args.max_weight is not None else 3 * genus - 3
     if max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
+    if max_weight > MAX_WEIGHT:
+        raise UsageError(
+            f"--max-weight {max_weight} is above the supported maximum {MAX_WEIGHT}"
+        )
     if args.target == "ng":
         if genus < 2:
             raise UsageError("the tangent class needs genus at least 2")
@@ -232,7 +238,11 @@ def _cmd_betti(args) -> int:
     genus, _ = _parse_genus_field(args.genus, allow_range=False)
     if genus < 2:
         raise UsageError("betti tables need genus at least 2")
-    s_max = args.s_max if args.s_max is not None else default_s_max(genus)
+    # the recursion is proven only up to the default bound
+    bound = default_s_max(genus)
+    s_max = args.s_max if args.s_max is not None else bound
+    if not 0 <= s_max <= bound:
+        raise UsageError(f"--s-max {s_max} is outside 0..{bound} for genus {genus}")
     table = newstead_betti(genus, s_max)
     cross = betti_cross_check(genus)
     payload = {

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import newstead.chern
 from newstead.chern import (
     QUOTIENT_BUNDLE,
     TANGENT_MODULI,
@@ -14,6 +15,7 @@ from newstead.chern import (
 )
 from newstead.groebner import relation_ideal_basis
 from newstead.ring import ALPHA, BETA, GAMMA, ONE
+from newstead.series import PowerSeries, series_binomial
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,56 @@ class TestTangentClass:
     def test_small_genus_rejected(self):
         with pytest.raises(ValueError):
             tangent_chern(1, 3)
+
+
+def _graded(p, order):
+    return PowerSeries([p.homogeneous_component(w) for w in range(order + 1)])
+
+
+def product_form(genus, max_weight):
+    """The tangent class as (1-b)^g * sum_k (-4c)^k (1-b)^(-k) / k! * c(Q) * c(Q).
+
+    An independent expansion of the closed form: no exponential of the
+    tangent exponent, and c(Q) squared by two dense series products.
+    """
+    minus_beta = _graded(-BETA, max_weight)
+    exp_part = PowerSeries([ONE], order=max_weight)
+    for k in range(1, max_weight // 3 + 1):
+        gamma_term = _graded((-4 * GAMMA) ** k / factorial(k), max_weight)
+        exp_part = exp_part + gamma_term * series_binomial(minus_beta, -k)
+    q = PowerSeries(quotient_chern(max_weight).components)
+    total = series_binomial(minus_beta, genus) * exp_part * q * q
+    return total.coefficients
+
+
+class TestProductFormOracle:
+    @pytest.mark.parametrize("genus", range(2, 9))
+    def test_one_exponential_equals_product_form(self, genus):
+        top = 3 * genus - 3
+        assert tangent_chern(genus, top).components == product_form(genus, top)
+
+    @pytest.mark.parametrize("max_weight", range(13))
+    def test_every_truncation_is_a_prefix(self, max_weight):
+        assert tangent_chern(5, max_weight).components == product_form(5, 12)[
+            : max_weight + 1
+        ]
+
+    def test_oracle_catches_a_short_geometric_sum(self, monkeypatch):
+        # stopping sum_j beta^j at j < n // 3 instead of j <= (n-3) // 2 loses
+        # gamma beta^j terms of weight up to n, first at genus 4 (n = 9)
+        def short(max_weight):
+            y = 2 * newstead.chern._quotient_exponent(max_weight)
+            for j in range(max_weight // 3):
+                y = y - 4 * GAMMA * BETA**j
+            return y
+
+        monkeypatch.setattr(newstead.chern, "_tangent_exponent", short)
+        for genus in range(2, 4):
+            top = 3 * genus - 3
+            assert tangent_chern(genus, top).components == product_form(genus, top)
+        for genus in range(4, 9):
+            top = 3 * genus - 3
+            assert tangent_chern(genus, top).components != product_form(genus, top)
 
 
 class TestPipelineAgreement:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newstead.chern
+import newstead.cli
 import newstead.groebner
 import newstead.verify
-from newstead.betti import BettiTable
+from newstead.betti import BettiTable, default_s_max
 from newstead.chern import GradedClass
 from newstead.cli import (
     EXIT_CHECK_FAILED,
@@ -19,6 +21,7 @@ from newstead.cli import (
     EXIT_PARSE,
     EXIT_USAGE,
     MAX_GENUS,
+    MAX_WEIGHT,
     _parse_genus_field,
     load_cached_basis,
     main,
@@ -166,6 +169,17 @@ class TestQueryVerbs:
         golden = GOLDEN / f"chern_g{genus}_{target}.json"
         assert out == golden.read_text(encoding="utf-8")
 
+    def test_chern_genus_twenty_digest(self, capsys):
+        # recorded from the product-form expansion (the oracle in
+        # test_chern.py), which takes about 25 s at this genus
+        code, out, _ = run_cli(
+            capsys, "chern", "-g", "20", "--target", "ng", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "3d7dbd3076818ae6827b838ebb1df924f868fd7ed3b4120392015315deeb6ae8"
+        )
+
     def test_nf_above_top_weight_is_zero_in_bounded_time(self):
         # a^100000 has weight far above 3g-3 = 6, where the quotient is zero
         proc = run_module("nf", "-g", "3", "--poly", "a^100000", timeout=60)
@@ -215,6 +229,48 @@ class TestExitCodes:
     def test_genus_at_maximum_is_accepted(self):
         assert _parse_genus_field(str(MAX_GENUS), allow_range=False) == (MAX_GENUS,) * 2
         assert _parse_genus_field(f"1..{MAX_GENUS}", allow_range=True) == (1, MAX_GENUS)
+
+    @pytest.mark.parametrize("weight", [MAX_WEIGHT + 1, 100000])
+    def test_max_weight_above_maximum_is_usage_at_once(self, weight):
+        proc = run_module(
+            "chern", "-g", "3", "--target", "q", "--max-weight", str(weight),
+            timeout=30,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: --max-weight {weight} is above the supported maximum {MAX_WEIGHT}\n"
+        )
+
+    def test_max_weight_at_maximum_is_accepted(self, capsys, monkeypatch):
+        asked = []
+
+        def fake(max_weight):
+            asked.append(max_weight)
+            return GradedClass("fake", (Polynomial.constant(1),))
+
+        monkeypatch.setattr(newstead.cli, "quotient_chern", fake)
+        code, _, _ = run_cli(capsys, "chern", "-g", "3", "--max-weight", str(MAX_WEIGHT))
+        assert (code, asked) == (EXIT_OK, [MAX_WEIGHT])
+
+    @pytest.mark.parametrize("s_max", ["-5", str(default_s_max(3) + 1), "100000000"])
+    def test_betti_s_max_outside_proven_range_is_usage_at_once(self, s_max):
+        proc = run_module("betti", "-g", "3", "--s-max", s_max, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: --s-max {s_max} is outside 0..{default_s_max(3)} for genus 3\n"
+        )
+
+    @pytest.mark.parametrize("s_max", [0, default_s_max(3)])
+    def test_betti_s_max_within_proven_range(self, capsys, s_max):
+        code, out, _ = run_cli(
+            capsys, "betti", "-g", "3", "--s-max", str(s_max), "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["values"] == [[0, 1], [1, 1], [2, 2], [3, 16], [4, 2]][
+            : s_max + 1
+        ]
 
     def test_range_outside_verify_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "relations", "-g", "1..3")
