@@ -27,7 +27,7 @@ from newstead.cli import (
     main,
     save_cached_basis,
 )
-from newstead.groebner import relation_ideal_basis
+from newstead.groebner import normal_form, relation_ideal_basis
 from newstead.ring import ALPHA, Monomial, Polynomial
 from newstead.series import PowerSeries
 
@@ -374,6 +374,43 @@ class TestVerify:
         assert not all_ok
         assert ("g=2", "chern-matches-series", False, "") in checks
         assert ("g=3", "chern-matches-series", False, "") in checks
+
+    # a^(g+2) lies in the genus-g ideal only for g = 1, 2, where the quotient
+    # is zero above weight 3g-3 < g+2; a tamper by it must fail from g = 3 on
+    @pytest.mark.parametrize("genus", range(1, 6))
+    def test_tamper_lies_in_the_ideal_only_at_low_genus(self, genus):
+        tamper = ALPHA ** (genus + 2)
+        in_ideal = not normal_form(tamper, relation_ideal_basis(genus).elements)
+        assert in_ideal == (genus <= 2)
+
+    def test_ideal_equal_series_can_fail(self, monkeypatch):
+        honest = newstead.verify.taylor_derivative
+
+        def tampered(s, r):
+            # verify asks for D_g, D_{g+1}, D_{g+2} of a series of order g+2
+            d = honest(s, r)
+            return d + ALPHA**r if r == s.order else d
+
+        monkeypatch.setattr(newstead.verify, "taylor_derivative", tampered)
+        checks, all_ok = newstead.verify.run_verify(1, 5)
+        assert not all_ok
+        for g in range(1, 6):
+            assert (f"g={g}", "ideal-equal-series", g <= 2, "") in checks
+
+    def test_chern_relations_can_fail(self, monkeypatch):
+        honest = newstead.chern.quotient_chern
+
+        def tampered(max_weight):
+            graded = honest(max_weight)
+            components = list(graded.components)
+            components[-1] = components[-1] + ALPHA**max_weight
+            return GradedClass(graded.label, tuple(components))
+
+        monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
+        checks, all_ok = newstead.verify.run_verify(1, 5)
+        assert not all_ok
+        for g in range(1, 6):
+            assert (f"g={g}", "chern-relations", g <= 2, "") in checks
 
 
 class TestCache:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import newstead.groebner
 from newstead.groebner import (
     GroebnerBasis,
+    _triangular_certificate,
     buchberger,
     complete_intersection_hilbert,
     expected_initial_ideal,
@@ -444,6 +445,135 @@ class TestIdealEqual:
     def test_precomputed_basis_accepted(self, gb2):
         triple = relations_by_recursion(2).polynomials()
         assert ideal_equal(triple, list(triple), basis1=gb2, basis2=gb2)
+
+
+def weight_monomials(weight):
+    return [
+        Monomial(weight - 2 * b - 3 * c, b, c)
+        for c in range(weight // 3 + 1)
+        for b in range((weight - 3 * c) // 2 + 1)
+    ]
+
+
+def homogeneous_polynomials(weight):
+    """Weighted homogeneous polynomials of one weight, zero included."""
+    return st.lists(
+        st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+        min_size=len(weight_monomials(weight)),
+        max_size=len(weight_monomials(weight)),
+    ).map(lambda cs: Polynomial(zip(weight_monomials(weight), cs)))
+
+
+@st.composite
+def relation_variants(draw, genus):
+    """Lists of weights g, g+1, g+2 made from the relation triple f: random
+    triangular combinations (diagonal constants zero a quarter of the
+    time), the triple with one coefficient changed, and the triple with a
+    monomial added to its third element; then permuted and scaled."""
+    f = relations_by_recursion(genus).polynomials()
+    degrees = (genus, genus + 1, genus + 2)
+    kind = draw(st.sampled_from(["combination", "coefficient", "third"]))
+    if kind == "combination":
+        h = []
+        for i in range(3):
+            p = draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])) * f[i]
+            for j in range(i):
+                p = p + draw(homogeneous_polynomials(degrees[i] - degrees[j])) * f[j]
+            h.append(p)
+    else:
+        i = 2 if kind == "third" else draw(st.integers(0, 2))
+        m = draw(st.sampled_from(weight_monomials(degrees[i])))
+        delta = draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        h = list(f)
+        h[i] = f[i] + Polynomial({m: delta})
+    scales = draw(st.lists(st.sampled_from([1, -1, 3, Fraction(2, 7)]), min_size=3, max_size=3))
+    return kind, draw(st.permutations([k * p for k, p in zip(scales, h)]))
+
+
+@pytest.fixture
+def no_buchberger(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("buchberger called")
+
+    monkeypatch.setattr(newstead.groebner, "buchberger", refuse)
+
+
+@pytest.fixture(scope="module")
+def reduced_bases():
+    return {g: buchberger(relations_by_recursion(g).polynomials()).elements for g in range(1, 6)}
+
+
+class TestTriangularCertificate:
+    """`ideal_equal` first tries an exact triangular identity between the two
+    generator lists; it must never claim an equality Buchberger denies."""
+
+    @pytest.mark.parametrize("genus", range(1, 6))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_never_claims_what_buchberger_denies(self, genus, data, reduced_bases):
+        kind, h = data.draw(relation_variants(genus))
+        f = relations_by_recursion(genus).polynomials()
+        h = [p for p in h if p]
+        # reduced bases are unique, so equal bases mean equal ideals
+        equal = buchberger(h).elements == reduced_bases[genus]
+        if _triangular_certificate(f, h) or _triangular_certificate(h, f):
+            assert equal, (kind, h)
+        assert ideal_equal(f, h) == equal
+
+    @pytest.mark.parametrize("genus", range(1, 6))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), diagonal=st.lists(
+        st.sampled_from([1, -2, Fraction(1, 3)]), min_size=3, max_size=3))
+    def test_invertible_combinations_certified(self, genus, data, diagonal):
+        f = relations_by_recursion(genus).polynomials()
+        degrees = (genus, genus + 1, genus + 2)
+        h = []
+        for i in range(3):
+            p = diagonal[i] * f[i]
+            for j in range(i):
+                p = p + data.draw(homogeneous_polynomials(degrees[i] - degrees[j])) * f[j]
+            h.append(p)
+        assert _triangular_certificate(f, data.draw(st.permutations(h)))
+
+    @pytest.mark.parametrize("genus", range(1, 9))
+    def test_verify_uses_need_no_basis(self, genus, no_buchberger):
+        phi = generating_series(genus + 2)
+        derivatives = [taylor_derivative(phi, r) for r in (genus, genus + 1, genus + 2)]
+        triple = relations_by_recursion(genus).polynomials()
+        assert ideal_equal(triple, derivatives)
+
+    @pytest.mark.parametrize("genus", range(3, 8))
+    def test_tampered_third_derivative_rejected(self, genus):
+        phi = generating_series(genus + 2)
+        derivatives = [taylor_derivative(phi, r) for r in (genus, genus + 1, genus + 2)]
+        derivatives[2] = derivatives[2] + ALPHA ** (genus + 2)
+        triple = relations_by_recursion(genus).polynomials()
+        assert not _triangular_certificate(triple, derivatives)
+        assert not ideal_equal(triple, derivatives)
+
+    def test_lists_of_different_lengths_fall_back(self):
+        assert not _triangular_certificate([ALPHA, ALPHA**2], [ALPHA])
+        assert ideal_equal([ALPHA, ALPHA**2], [ALPHA])
+
+    def test_inhomogeneous_generator_falls_back(self):
+        assert not _triangular_certificate([ALPHA + BETA], [ALPHA + BETA])
+        assert ideal_equal([ALPHA + BETA], [ALPHA + BETA])
+
+    def test_repeated_degrees_fall_back(self):
+        assert not _triangular_certificate([ALPHA**2, BETA], [BETA, ALPHA**2])
+        assert ideal_equal([ALPHA**2, BETA], [BETA, ALPHA**2])
+
+    def test_zero_generators_filtered_out(self, no_buchberger):
+        assert ideal_equal([ALPHA, Polynomial(), BETA], [BETA, ALPHA, Polynomial()])
+
+    def test_strict_inclusion_not_certified(self):
+        assert not _triangular_certificate([ALPHA], [ALPHA**2])
+        assert not _triangular_certificate([ALPHA, BETA], [ALPHA, ALPHA**2])
+
+    def test_dependent_column_leaves_diagonal_undetermined(self):
+        # the column f_2 = a^2 equals the column a*f_1, so c_2 is not determined
+        assert not _triangular_certificate([ALPHA, ALPHA**2], [ALPHA, ALPHA**2])
+        assert ideal_equal([ALPHA, ALPHA**2], [ALPHA, ALPHA**2])
 
 
 def mixed_weight_polynomials(genus):
