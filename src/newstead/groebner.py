@@ -13,7 +13,11 @@ from the same selection, so for a genus-g basis it reduces g(g+2)
 S-polynomials instead of all C(C(g+2, 2), 2).  Division pops terms largest
 first from a heap and reduces by the largest divisor lead, so normal forms
 are deterministic step by step; a `GroebnerBasis` builds its sorted reducer
-list once.
+list once.  `pairing_ratio` reads the socle coefficient off a per-basis memo
+of the same division, so each monomial the divisions pass through is reduced
+once per basis, not once per query, and `standard_monomials` reads the
+quotient basis off the staircase of the leads instead of testing each
+monomial against each lead.
 
 `ideal_equal` needs no basis when the two generator lists have the same
 weighted degrees, each once: it looks for a triangular transition identity
@@ -80,6 +84,18 @@ def _heap_key(m: Monomial) -> Tuple[int, int, int]:
     return (-key[0], -key[1], -key[2])
 
 
+def _largest_divisor(m: Monomial, reducers: List[_Reducer]) -> Optional[_Reducer]:
+    """The reducer with the largest lead dividing m, or None; the reducers
+    must be sorted ascending by leading monomial."""
+    a, b, c = m
+    # reversed scan: the first divisor found has the largest lead
+    for entry in reversed(reducers):
+        la, lb, lc = entry[0]
+        if la <= a and lb <= b and lc <= c:
+            return entry
+    return None
+
+
 def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
     """Full multivariate division remainder of `work` (consumed) by the
     reducers, which must be sorted ascending by leading monomial.  A term
@@ -93,23 +109,22 @@ def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
         cf = work.pop(m, None)
         if cf is None:
             continue
-        # reversed scan: the first divisor found has the largest lead
-        for lm, lc, tail in reversed(reducers):
-            if lm.divides(m):
-                qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
-                factor = cf / lc
-                for tm, tc in tail.items():
-                    key = Monomial(tm.a + qa, tm.b + qb, tm.c + qc)
-                    if key not in work:
-                        heapq.heappush(heap, (_heap_key(key), key))
-                    value = work.get(key, 0) - factor * tc
-                    if value:
-                        work[key] = value
-                    else:
-                        work.pop(key, None)
-                break
-        else:
+        entry = _largest_divisor(m, reducers)
+        if entry is None:
             out[m] = cf
+            continue
+        lm, lc, tail = entry
+        qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
+        factor = cf / lc
+        for tm, tc in tail.items():
+            key = Monomial(tm.a + qa, tm.b + qb, tm.c + qc)
+            if key not in work:
+                heapq.heappush(heap, (_heap_key(key), key))
+            value = work.get(key, 0) - factor * tc
+            if value:
+                work[key] = value
+            else:
+                work.pop(key, None)
     return out
 
 
@@ -165,7 +180,8 @@ class GroebnerBasis:
     ideal.  That ideal is weighted homogeneous and its quotient is zero
     above weight 3g-3 (every standard monomial has standard degree below
     g), so a tagged basis drops every term above that weight before it
-    reduces; `pairing_ratio` relies on the tag too.
+    reduces; `pairing_ratio` relies on the tag too, and keeps its memo on
+    the basis object, never shared with another basis.
     """
 
     elements: Tuple[Polynomial, ...]
@@ -179,6 +195,12 @@ class GroebnerBasis:
     def _reducers(self) -> List[_Reducer]:
         # not a field, so equality and hashing ignore it
         return _make_reducers(self.elements)
+
+    @cached_property
+    def _socle(self) -> Dict[Monomial, Fraction]:
+        # monomial -> coefficient of c^(g-1) in its normal form, filled by
+        # `pairing_ratio`; not a field, like `_reducers`
+        return {}
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if self.genus is not None:
@@ -320,7 +342,14 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
     """Enumerate the standard monomials, sorted by (weight, grevlex).
 
     Requires the quotient to be finite dimensional, i.e. the initial ideal
-    must contain a pure power of each variable.
+    must contain a pure power of each variable.  The smallest pure powers
+    a^A, b^B, c^C bound a box holding every standard monomial.  Inside it
+    the monomials are read off the staircase: ends[b][c], the least a with
+    a^a b^b c^c in the initial ideal, is A lowered by every lead of b- and
+    c-exponent at most (b, c), a two-dimensional prefix minimum, and the
+    standard monomials are those with a < ends[b][c].  That is linear in
+    the box plus the leads, where testing each box monomial against each
+    lead is their product.
     """
     lms = gb.leading_monomials()
     bounds = []
@@ -332,13 +361,24 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
                 "some variable among the leading monomials)"
             )
         bounds.append(min(pure))
-    found = []
-    for a in range(bounds[0]):
-        for b in range(bounds[1]):
-            for c in range(bounds[2]):
-                m = Monomial(a, b, c)
-                if not any(lm.divides(m) for lm in lms):
-                    found.append(m)
+    top_a, top_b, top_c = bounds
+    ends = [[top_a] * top_c for _ in range(top_b)]
+    for lm in lms:
+        if lm.b < top_b and lm.c < top_c and lm.a < ends[lm.b][lm.c]:
+            ends[lm.b][lm.c] = lm.a
+    for b in range(top_b):
+        row = ends[b]
+        for c in range(top_c):
+            if c and row[c - 1] < row[c]:
+                row[c] = row[c - 1]
+            if b and ends[b - 1][c] < row[c]:
+                row[c] = ends[b - 1][c]
+    found = [
+        Monomial(a, b, c)
+        for b in range(top_b)
+        for c in range(top_c)
+        for a in range(ends[b][c])
+    ]
     found.sort(key=lambda m: (m.weight, m.sort_key()))
     return StandardMonomialBasis(genus=gb.genus, monomials=tuple(found))
 
@@ -410,6 +450,17 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
     it, and this returns the multiplier.  Intersection numbers against the
     fundamental class are proportional to these ratios, with a global
     normalization this package does not fix.
+
+    The value is the linear functional L(m) = coefficient of c^(g-1) in the
+    normal form of m, memoized per basis object: when the largest lead
+    dividing m (the one division uses) is lm with coefficient lc and tail
+    t, m = u*lm gives L(m) = -(1/lc) * sum of tc * L(u*t) over the tail
+    terms, each below m; otherwise L(m) is 1 if m = c^(g-1) and 0 else.
+    Division is linear, so this equals `gb.normal_form(m)`'s coefficient
+    for any basis.  The divisions of the top-weight monomials pass through
+    the same monomials (for the genus-g ideal, all of weight 3g-3), and
+    each is reduced once per basis, not once per query.  The memo is
+    filled depth first from an explicit stack, without recursion.
     """
     if gb.genus is None:
         raise ValueError("pairing ratios need a genus-tagged basis")
@@ -419,8 +470,32 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
             f"monomial {mono} has weighted degree {mono.weight}, "
             f"but the socle lives in weighted degree {top}"
         )
-    nf = gb.normal_form(Polynomial({mono: 1}))
-    return nf.coefficient(Monomial(0, 0, gb.genus - 1))
+    reducers, memo = gb._reducers, gb._socle
+    socle = Monomial(0, 0, gb.genus - 1)
+    # (monomial, None) until expanded, then (monomial, tail terms times u, lc)
+    stack = [(mono, None, None)]
+    while stack:
+        m, terms, lc = stack[-1]
+        if m in memo:
+            stack.pop()
+        elif terms is not None:  # every term below m is filled by now
+            memo[m] = -sum(tc * memo[t] for t, tc in terms) / lc
+            stack.pop()
+        else:
+            entry = _largest_divisor(m, reducers)
+            if entry is None:
+                memo[m] = Fraction(1 if m == socle else 0)
+                stack.pop()
+                continue
+            lm, lc, tail = entry
+            qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
+            terms = [
+                (Monomial(tm.a + qa, tm.b + qb, tm.c + qc), tc)
+                for tm, tc in tail.items()
+            ]
+            stack[-1] = (m, terms, lc)
+            stack.extend((t, None, None) for t, _ in terms if t not in memo)
+    return memo[mono]
 
 
 def _monomials_of_weight(weight: int) -> List[Monomial]:

@@ -61,7 +61,13 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             end = pos + 1
             while end < n and text[end].isdigit():
                 end += 1
-            tokens.append(("int", int(text[pos:end]), pos))
+            try:
+                value = int(text[pos:end])
+            except ValueError:  # beyond sys.get_int_max_str_digits()
+                raise ParseError(
+                    f"integer literal of {end - pos} digits is too long", pos
+                ) from None
+            tokens.append(("int", value, pos))
             pos = end
         elif ch.isalpha():
             end = pos + 1

@@ -27,8 +27,8 @@ from newstead.cli import (
     main,
     save_cached_basis,
 )
-from newstead.groebner import normal_form, relation_ideal_basis
-from newstead.ring import ALPHA, Monomial, Polynomial
+from newstead.groebner import GroebnerBasis, normal_form, relation_ideal_basis
+from newstead.ring import ALPHA, BETA, Monomial, Polynomial
 from newstead.series import PowerSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -272,6 +272,22 @@ class TestExitCodes:
             : s_max + 1
         ]
 
+    @pytest.mark.parametrize(
+        "verb, flag, text",
+        [
+            ("nf", "--poly", "a^{}"),
+            ("nf", "--poly", "{}*a"),
+            ("pairing", "--mono", "a^{}"),
+            ("pairing", "--mono", "{}*a^6"),
+        ],
+    )
+    def test_huge_integer_literal_is_parse_error(self, verb, flag, text):
+        # int() refuses strings past sys.get_int_max_str_digits() (4300)
+        proc = run_module(verb, "-g", "3", flag, text.format("9" * 5000), timeout=30)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parse error: integer literal of 5000 digits")
+
     def test_range_outside_verify_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "relations", "-g", "1..3")
         assert code == EXIT_USAGE
@@ -397,6 +413,27 @@ class TestVerify:
         for g in range(1, 6):
             assert (f"g={g}", "ideal-equal-series", g <= 2, "") in checks
 
+    def test_pairing_spot_values_can_fail(self, monkeypatch):
+        checks, all_ok = newstead.verify.run_verify(2, 2)
+        assert all_ok and ("g=2", "pairing-spot-values", True, "") in checks
+        honest = newstead.verify.relation_basis_cached
+
+        def tampered(genus, cache_dir):
+            # a^2 + b -> a^2 + 2b: a^3 pairs to 2, not 1
+            gb = honest(genus, cache_dir)
+            elements = tuple(
+                ALPHA**2 + 2 * BETA if p == ALPHA**2 + BETA else p
+                for p in gb.elements
+            )
+            assert elements != gb.elements
+            return GroebnerBasis(elements, genus=genus)
+
+        monkeypatch.setattr(newstead.verify, "relation_basis_cached", tampered)
+        checks, all_ok = newstead.verify.run_verify(2, 2)
+        assert not all_ok
+        assert ("g=2", "pairing-spot-values", False, "") in checks
+        assert ("g=2", "pairing-socle", True, "") in checks
+
     def test_chern_relations_can_fail(self, monkeypatch):
         honest = newstead.chern.quotient_chern
 
@@ -457,6 +494,26 @@ class TestCache:
         payload["version"] = 999
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert load_cached_basis(tmp_path, 2) is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            lambda text: text.replace('"version": 1', '"version": ' + "9" * 5000),
+            lambda text: text.replace('"a^2 + b"', '"a^2 + ' + "9" * 5000 + '*b"'),
+        ],
+        ids=["huge-version", "huge-coefficient"],
+    )
+    def test_huge_number_rejected(self, tmp_path, capsys, payload):
+        # json.loads and int() raise a plain ValueError past 4300 digits
+        path = save_cached_basis(tmp_path, relation_ideal_basis(2))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(payload(text), encoding="utf-8")
+        assert path.read_text(encoding="utf-8") != text
+        assert load_cached_basis(tmp_path, 2) is None
+        cache = ("--cache-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, "hilbert", "-g", "2", *cache)
+        assert (code, out.strip()) == (EXIT_OK, "1 1 1 1")
+        assert load_cached_basis(tmp_path, 2) is not None  # rewritten
 
     def _poison(self, tmp_path, genus, elements):
         path = save_cached_basis(tmp_path, relation_ideal_basis(genus))

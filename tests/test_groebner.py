@@ -321,6 +321,49 @@ class TestNormalForm:
         assert s_polynomial(f1, f2) == BETA**2 - ALPHA * GAMMA
 
 
+def lead_basis(leads):
+    """A basis object whose elements are the given monomials."""
+    return GroebnerBasis(tuple(Polynomial({m: 1}) for m in leads))
+
+
+def box_scan_standard_monomials(leads):
+    """Reference: every monomial of the box below the smallest pure powers
+    that no lead divides, tested against each lead in turn."""
+    bounds = []
+    for i in range(3):
+        pure = [m[i] for m in leads if m[i] == m.degree]
+        if not pure:
+            raise ValueError("no pure power")
+        bounds.append(min(pure))
+    found = [
+        Monomial(a, b, c)
+        for a in range(bounds[0])
+        for b in range(bounds[1])
+        for c in range(bounds[2])
+        if not any(lm.divides(Monomial(a, b, c)) for lm in leads)
+    ]
+    return tuple(sorted(found, key=lambda m: (m.weight, m.sort_key())))
+
+
+@st.composite
+def lead_sets(draw):
+    """Leads with pure powers of most variables (sometimes one is missing,
+    sometimes the lead 1), mixed leads reaching past the box and repeats."""
+    exponent = st.integers(0, 7)
+    monomial = st.builds(Monomial, exponent, exponent, exponent)
+    leads = draw(st.lists(monomial, max_size=8))
+    for i in range(3):
+        if draw(st.integers(0, 9)):
+            power = [0, 0, 0]
+            power[i] = draw(st.integers(1, 6))
+            leads.append(Monomial(*power))
+    if not draw(st.integers(0, 19)):
+        leads.append(Monomial())
+    if leads:
+        leads += draw(st.lists(st.sampled_from(leads), max_size=3))
+    return draw(st.permutations(leads))
+
+
 class TestStandardMonomials:
     def test_genus_one(self):
         sm = standard_monomials(relation_ideal_basis(1))
@@ -361,6 +404,30 @@ class TestStandardMonomials:
     def test_infinite_quotient_rejected(self):
         with pytest.raises(ValueError):
             standard_monomials(buchberger([ALPHA]))
+
+    def test_lead_one_leaves_nothing(self):
+        gb = lead_basis([Monomial(), Monomial(5, 0, 0)])
+        assert standard_monomials(gb).monomials == ()
+
+    def test_leads_outside_the_box_are_ignored(self):
+        box = [Monomial(2, 0, 0), Monomial(0, 2, 0), Monomial(0, 0, 2)]
+        outside = [Monomial(1, 2, 0), Monomial(1, 1, 5), Monomial(9, 0, 1)]
+        expected = standard_monomials(lead_basis(box)).monomials
+        assert len(expected) == 8
+        assert standard_monomials(lead_basis(box + outside)).monomials == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(leads=lead_sets())
+    def test_staircase_matches_box_scan(self, leads):
+        gb = lead_basis(leads)
+        try:
+            expected = box_scan_standard_monomials(leads)
+        except ValueError:
+            with pytest.raises(ValueError):
+                standard_monomials(gb)
+            return
+        sm = standard_monomials(gb)
+        assert sm.monomials == expected and sm.genus == gb.genus
 
 
 class TestHilbert:
@@ -419,6 +486,122 @@ class TestPairing:
         gb = buchberger([ALPHA, BETA, GAMMA])
         with pytest.raises(ValueError):
             pairing_ratio(Monomial(), gb)
+
+
+def socle_coefficient(mono, gb):
+    """Reference: the coefficient of c^(g-1) in one full division."""
+    return gb.normal_form(Polynomial({mono: 1})).coefficient(
+        Monomial(0, 0, gb.genus - 1)
+    )
+
+
+def genus_two_twin(gb):
+    """The genus-2 basis with a^2 + b replaced by a^2 + 2b."""
+    elements = tuple(
+        ALPHA**2 + 2 * BETA if p == ALPHA**2 + BETA else p for p in gb.elements
+    )
+    assert elements != gb.elements
+    return GroebnerBasis(elements, genus=gb.genus)
+
+
+class TestSocleMemo:
+    @pytest.mark.parametrize("genus", range(2, 13))
+    def test_equals_one_division(self, genus):
+        gb = relation_ideal_basis(genus)
+        expected = [socle_coefficient(m, gb) for m in top_weight_monomials(genus)]
+        assert [pairing_ratio(m, gb) for m in top_weight_monomials(genus)] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gens=st.one_of(
+            st.lists(nonzero_polynomials, min_size=1, max_size=3),
+            st.just([ONE]),
+        ),
+        genus=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_equals_one_division_on_any_tagged_basis(self, gens, genus, data):
+        # random generators are mostly inhomogeneous, with infinite quotients
+        gb = buchberger(gens, genus=genus)
+        monos = data.draw(st.permutations(top_weight_monomials(genus)))
+        for m in monos:
+            assert pairing_ratio(m, gb) == socle_coefficient(m, gb)
+
+    def test_unit_ideal_pairs_to_zero(self):
+        gb = buchberger([ONE], genus=3)
+        assert {pairing_ratio(m, gb) for m in top_weight_monomials(3)} == {0}
+
+    def test_memo_belongs_to_its_basis(self):
+        gb = relation_ideal_basis(2)
+        fields = dataclasses.fields(gb)
+        before = hash(gb)
+        assert pairing_ratio(Monomial(3, 0, 0), gb) == 1
+        twin = genus_two_twin(gb)
+        assert pairing_ratio(Monomial(3, 0, 0), twin) == 2 == socle_coefficient(
+            Monomial(3, 0, 0), twin
+        )
+        assert pairing_ratio(Monomial(3, 0, 0), gb) == 1
+        assert dataclasses.fields(gb) == fields
+        assert hash(gb) == before == hash(GroebnerBasis(gb.elements, genus=2))
+        assert gb == GroebnerBasis(gb.elements, genus=2) and gb != twin
+
+    def test_threads_race_to_fill_the_memo(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        monos = top_weight_monomials(6)
+        reference = relation_ideal_basis(6)
+        expected = [socle_coefficient(m, reference) for m in monos]
+        gb = relation_ideal_basis(6)  # fresh: empty memo
+
+        def rotated(k):
+            return [pairing_ratio(m, gb) for m in monos[k:] + monos[:k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(rotated, k) for k in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            assert got == expected[k:] + expected[:k]
+
+    def test_genus_twenty_without_recursion(self):
+        import sys
+
+        gb = relation_ideal_basis(20)
+        monos = top_weight_monomials(20)
+        assert len(monos) == 300
+        spot = monos[::15] + [Monomial(0, 0, 19)]
+        expected = [socle_coefficient(m, gb) for m in spot]
+        fresh = relation_ideal_basis(20)
+        depth = [0, 0]  # current and deepest call nesting below this frame
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                depth[0] += 1
+                depth[1] = max(depth)
+            elif event in ("return", "c_return", "c_exception"):
+                depth[0] -= 1
+
+        sys.setprofile(profile)
+        try:
+            # largest first, so that no earlier query shortens the chains
+            got = {m: pairing_ratio(m, fresh) for m in sorted(monos, reverse=True)}
+        finally:
+            sys.setprofile(None)
+        # a recursive fill nests once per step down the monomial order:
+        # about 125 calls deep here
+        assert depth[1] < 20
+        assert [got[m] for m in spot] == expected
+        assert got[Monomial(0, 0, 19)] == 1
+
+    def test_elements_need_not_be_monic(self, gb3):
+        scaled = GroebnerBasis(tuple(-3 * p for p in gb3.elements), genus=3)
+        for m in top_weight_monomials(3):
+            assert pairing_ratio(m, scaled) == pairing_ratio(m, gb3)
 
 
 class TestIdealEqual:
