@@ -3,10 +3,12 @@
 A loaded file is never trusted.  It must be monic and sorted strictly
 ascending by lead, its leads must be exactly the monomials of standard degree
 g and every other term must have standard degree below g; the S-polynomials
-left after the coprime and chain criteria (g(g+2) of them for a genus-g file)
-and the relation generators must reduce to zero.  Skipping the others is
-still sound, because with pairs taken in one fixed order each skipped
-S-polynomial has an lcm-representation built from pairs handled before it.
+the Gebauer-Moller update keeps (g(g+2) of them for a genus-g file) and the
+relation generators must reduce to zero.  Skipping the others is still sound:
+the update drops a pair only while its two leads stay linked, through leads
+dividing its lcm, by kept or coprime pairs of that lcm and by pairs of
+smaller lcm, so each skipped S-polynomial has an lcm-representation once the
+kept ones reduce to zero.
 The shape checks cost time linear in the file and imply that the set is
 reduced with C(g+2, 3) standard monomials.  Then it is a Groebner basis of an
 ideal I containing the genus-g ideal J with dim Q[a,b,c]/I = dim Q[a,b,c]/J,

@@ -6,18 +6,17 @@ standard degree g, so the standard monomials are those of degree below g
 and the quotient has dimension C(g+2, 3).  Everything here is exact; the
 reduced basis is unique, hence independent of generator order.
 
-Pair selection uses the normal strategy (smallest lcm degree first) with
-Buchberger's coprime criterion and the classic chain criterion, then one
-pass of interreduction.  The certificate `is_groebner_basis` takes its pairs
-from the same selection, so for a genus-g basis it reduces g(g+2)
-S-polynomials instead of all C(C(g+2, 2), 2).  Division pops terms largest
-first from a heap and reduces by the largest divisor lead, so normal forms
-are deterministic step by step; a `GroebnerBasis` builds its sorted reducer
-list once.  `pairing_ratio` reads the socle coefficient off a per-basis memo
-of the same division, so each monomial the divisions pass through is reduced
-once per basis, not once per query, and `standard_monomials` reads the
-quotient basis off the staircase of the leads instead of testing each
-monomial against each lead.
+Pairs are chosen by lcm weight and pruned by the Gebauer-Moller update as
+each lead arrives, then one pass of interreduction follows.  The certificate
+`is_groebner_basis` takes its pairs from the same selection, so for a
+genus-g basis it reduces g(g+2) S-polynomials instead of all C(C(g+2, 2), 2).
+Division pops terms largest first from a heap and reduces by the largest
+divisor lead, so normal forms are deterministic step by step; a
+`GroebnerBasis` builds its sorted reducer list once.  `pairing_ratio` reads
+the socle coefficient off a per-basis memo of the same division, so each
+monomial the divisions pass through is reduced once per basis, not once per
+query, and `standard_monomials` reads the quotient basis off the staircase
+of the leads instead of testing each monomial against each lead.
 
 `ideal_equal` needs no basis when the two generator lists have the same
 weighted degrees, each once: it looks for a triangular transition identity
@@ -213,46 +212,60 @@ class GroebnerBasis:
 
 
 def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
-    """Index pairs (i, j), i < j, of the leads whose S-polynomials must be
-    reduced, in normal-strategy order: by the lcm's `sort_key`, whose first
-    entry is its degree, then by index.  A lead the caller appends to `lms`
-    between two pairs is paired with every earlier lead before the next pair
-    is chosen.
+    """Index pairs (i, j), i < j, whose S-polynomials must be reduced, by
+    the lcm's weight, then its `sort_key`, then index: the sugar strategy of
+    Giovini et al., whose sugar is the weight on weighted homogeneous input.
+    Leads the caller appends to `lms` between two pairs enter, by the
+    Gebauer-Moller update, before the next pair is chosen; a fixed set's
+    leads all enter first (Becker, Weispfenning, Groebner Bases, 5.5).  For
+    a new lead h: (B) a queued (i, j) whose lcm L h divides is dropped
+    unless lcm(i, h) or lcm(j, h) is L; (M) of the new (i, h), taken by
+    ascending lcm with a coprime one first among equal lcms, one is kept
+    only if no kept lcm divides its own; (F) no coprime pair is queued.
 
-    Skipped are pairs with coprime leads (Buchberger's first criterion) and
-    pairs whose lcm a third lead divides while neither side pair is still
-    queued (the chain criterion).  Every side pair left the queue earlier
-    in this fixed order, so by induction along it each skipped S-polynomial
-    has an lcm-representation; hence a set whose yielded S-polynomials all
-    reduce to zero is a Groebner basis (Cox, Little, O'Shea, Ideals,
-    Varieties, and Algorithms, the section on improvements to Buchberger's
-    algorithm)."""
-    heap: List[Tuple[Tuple[int, int, int], int, int]] = []
-    pending = set()
-    paired = 0
+    Sound: call a pair of lcm L joined when its leads are linked by a path
+    of leads dividing L whose steps are pairs of lcm properly dividing L, or
+    coprime, queued or yielded pairs of lcm L.  New pairs are joined; B
+    leaves (i, j) joined by i, h, j, and M a dropped (i, h) by the kept
+    (k, h) and the older, joined (i, k).  With the queue empty, induction on
+    L gives each S-polynomial an lcm-representation once the yielded ones
+    reduce to zero: a Groebner basis (Cox, Little, O'Shea, Ideals,
+    Varieties, and Algorithms, section 2.9, Theorem 6).  Dropped pairs leave
+    `live` and are skipped when popped."""
+    heap: List[Tuple[Tuple[int, int, int, int], int, int]] = []
+    live: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+    entered = 0
     while True:
-        for j in range(paired, len(lms)):
-            for i in range(j):
-                heapq.heappush(heap, (lms[i].lcm(lms[j]).sort_key(), i, j))
-                pending.add((i, j))
-        paired = len(lms)
-        if not heap:
+        for h in range(entered, len(lms)):
+            ha, hb, hc = lms[h]
+            lcms = [
+                (a if a > ha else ha, b if b > hb else hb, c if c > hc else hc)
+                for a, b, c in lms[:h]
+            ]
+            for (i, j), lcm in list(live.items()):
+                la, lb, lc = lcm
+                if ha <= la and hb <= lb and hc <= lc and lcms[i] != lcm != lcms[j]:
+                    del live[i, j]
+            # divisors weigh less; among equal lcms a coprime pair comes first
+            kept: List[Tuple[int, int, int]] = []
+            for weight, shared, i in sorted(
+                (la + 2 * lb + 3 * lc, (a and ha or b and hb or c and hc) > 0, i)
+                for i, ((la, lb, lc), (a, b, c)) in enumerate(zip(lcms, lms))
+            ):
+                la, lb, lc = lcm = lcms[i]
+                if any(a <= la and b <= lb and c <= lc for a, b, c in kept):
+                    continue
+                kept.append(lcm)
+                if shared:  # the leads share a variable: not coprime
+                    live[i, h] = lcm
+                    key = (weight, la + lb + lc, -lc, -lb)  # weight + sort_key
+                    heapq.heappush(heap, (key, i, h))
+        entered = len(lms)
+        if not live:
             return
-        key, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        lmi, lmj = lms[i], lms[j]
-        # the lcm is the product exactly when the leads are coprime
-        if key[0] == lmi.degree + lmj.degree:
-            continue
-        ba, bb, bc = lmi.lcm(lmj)
-        if any(
-            a <= ba and b <= bb and c <= bc and k != i and k != j
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, (a, b, c) in enumerate(lms)
-        ):
-            continue
-        yield i, j
+        _, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is not None:
+            yield i, j
 
 
 def buchberger(
@@ -289,8 +302,10 @@ def relation_ideal_basis(genus: int) -> GroebnerBasis:
 
 
 def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool:
-    """Buchberger's criterion: every S-polynomial left after the coprime and
-    chain criteria of `_critical_pairs` reduces to zero."""
+    """Buchberger's criterion on the pairs `_critical_pairs` keeps.  All leads
+    enter its Gebauer-Moller update before the first pair; each pair dropped
+    there is joined by kept pairs and pairs of smaller lcm, so it has an
+    lcm-representation once the kept S-polynomials reduce to zero."""
     if isinstance(basis, GroebnerBasis):
         polys, reducers = [p for p in basis.elements if p], basis._reducers
     else:

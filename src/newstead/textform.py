@@ -57,9 +57,9 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # isdigit() also takes superscripts and non-Latin digits
             end = pos + 1
-            while end < n and text[end].isdigit():
+            while end < n and "0" <= text[end] <= "9":
                 end += 1
             try:
                 value = int(text[pos:end])

@@ -288,6 +288,17 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("parse error: integer literal of 5000 digits")
 
+    @pytest.mark.parametrize("verb, flag", [("nf", "--poly"), ("pairing", "--mono")])
+    # superscript two and Arabic-Indic two: str.isdigit() holds, uint is 0-9
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+    def test_non_ascii_digit_is_parse_error(self, verb, flag, digit):
+        proc = run_module(verb, "-g", "3", flag, f"a^{digit}", timeout=30)
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"parse error: unexpected character {digit!r} at position 2\n"
+        )
+
     def test_range_outside_verify_is_usage(self, capsys):
         code, _, _ = run_cli(capsys, "relations", "-g", "1..3")
         assert code == EXIT_USAGE

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -97,6 +98,35 @@ class TestBuchberger:
         assert is_groebner_basis(relations_by_recursion(1).polynomials())
         assert not is_groebner_basis(relations_by_recursion(3).polynomials())
 
+    @pytest.mark.parametrize("genus", range(2, 9))
+    def test_genus_basis_reduces_g_times_g_plus_two_pairs(self, genus, monkeypatch):
+        # as many S-polynomials as the certificate of the finished basis
+        reduced = []
+        real = newstead.groebner.s_polynomial
+
+        def counting(f, g):
+            reduced.append(1)
+            return real(f, g)
+
+        monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
+        relation_ideal_basis(genus)
+        assert len(reduced) == genus * (genus + 2)
+
+    def test_pairs_chosen_by_non_decreasing_lcm_weight(self, monkeypatch):
+        # on weighted homogeneous input a new lead weighs at least as much
+        # as the pair that produced it, so the sugar order never goes back
+        weights = []
+        real = newstead.groebner._critical_pairs
+
+        def recording(lms):
+            for i, j in real(lms):
+                weights.append(lms[i].lcm(lms[j]).weight)
+                yield i, j
+
+        monkeypatch.setattr(newstead.groebner, "_critical_pairs", recording)
+        relation_ideal_basis(6)
+        assert len(weights) == 48 and weights == sorted(weights)
+
     @pytest.mark.parametrize("genus", range(1, 7))
     def test_basis_elements_reduced_and_monic(self, genus):
         gb = relation_ideal_basis(genus)
@@ -154,10 +184,33 @@ def polynomial_sets(draw):
     return draw(st.permutations(polys))
 
 
+crowded_monomials = st.builds(
+    Monomial, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
+)
+
+
+@st.composite
+def crowded_sets(draw):
+    """3 to 6 polynomials whose leads have exponents at most 3, so that a
+    third lead often divides the lcm of a pair and equal lcms are common.
+    Most have no tail, so most S-polynomials vanish and the few left decide
+    the answer: the sets on which a criterion that drops too much errs."""
+    polys = []
+    for lead in draw(st.lists(crowded_monomials, min_size=3, max_size=6)):
+        tail = [m for m in draw(st.lists(crowded_monomials, max_size=2)) if m < lead]
+        polys.append(Polynomial({lead: 1, **{m: draw(coefficients) for m in tail}}))
+    return polys
+
+
 class TestCertificate:
     @settings(max_examples=300, deadline=None)
     @given(polys=polynomial_sets())
     def test_agrees_with_all_pairs(self, polys):
+        assert is_groebner_basis(polys) == all_pairs_certificate(polys)
+
+    @settings(max_examples=500, deadline=None)
+    @given(polys=crowded_sets())
+    def test_agrees_with_all_pairs_on_crowded_leads(self, polys):
         assert is_groebner_basis(polys) == all_pairs_certificate(polys)
 
     @pytest.mark.parametrize("genus", range(2, 9))
@@ -228,6 +281,19 @@ class TestGoldenBasis:
         # recorded from the restarting interreduction it replaced
         text = "".join(f"{p}\n" for p in relation_ideal_basis(12).elements)
         assert text == (GOLDEN / "basis_g12.txt").read_text(encoding="utf-8")
+
+    # recorded from the chain-criterion pair selection the Gebauer-Moller
+    # update replaced, in the text form of `basis_g12.txt`
+    @pytest.mark.parametrize(
+        "genus, digest",
+        [
+            (16, "c771d91b351646217eee5e6b8cf458604593538d0a5883bef9e43160714099f1"),
+            (20, "fd793a431fa8fc2f3f75ea0909d0064f64d1826674ebb0e6e4faf412295ef7e1"),
+        ],
+    )
+    def test_larger_genera_by_digest(self, genus, digest):
+        text = "".join(f"{p}\n" for p in relation_ideal_basis(genus).elements)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestReducerCache:

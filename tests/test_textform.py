@@ -64,6 +64,16 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_poly("a + $")
 
+    # str.isdigit() holds for these, but the grammar's uint is ASCII 0-9
+    @pytest.mark.parametrize(
+        "text, position",
+        [("a^\u00b2", 2), ("a^\u0662", 2), ("a^1\u00b2", 3), ("\u0663*a", 0)],
+    )
+    def test_non_ascii_digit(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_poly(text)
+        assert err.value.position == position
+
     def test_dangling_sign(self):
         with pytest.raises(ParseError):
             parse_poly("a +")
