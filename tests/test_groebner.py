@@ -58,6 +58,20 @@ def gb3():
     return relation_ideal_basis(3)
 
 
+@pytest.fixture
+def s_polys_built(monkeypatch):
+    """A list that grows by one with each S-polynomial `groebner` builds."""
+    built = []
+    real = newstead.groebner.s_polynomial
+
+    def counting(f, g):
+        built.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
+    return built
+
+
 class TestBuchberger:
     def test_monomial_generators_already_reduced(self):
         gb = buchberger([ALPHA, BETA, GAMMA])
@@ -99,18 +113,10 @@ class TestBuchberger:
         assert not is_groebner_basis(relations_by_recursion(3).polynomials())
 
     @pytest.mark.parametrize("genus", range(2, 9))
-    def test_genus_basis_reduces_g_times_g_plus_two_pairs(self, genus, monkeypatch):
+    def test_genus_basis_reduces_g_times_g_plus_two_pairs(self, genus, s_polys_built):
         # as many S-polynomials as the certificate of the finished basis
-        reduced = []
-        real = newstead.groebner.s_polynomial
-
-        def counting(f, g):
-            reduced.append(1)
-            return real(f, g)
-
-        monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
         relation_ideal_basis(genus)
-        assert len(reduced) == genus * (genus + 2)
+        assert len(s_polys_built) == genus * (genus + 2)
 
     def test_pairs_chosen_by_non_decreasing_lcm_weight(self, monkeypatch):
         # on weighted homogeneous input a new lead weighs at least as much
@@ -214,19 +220,12 @@ class TestCertificate:
         assert is_groebner_basis(polys) == all_pairs_certificate(polys)
 
     @pytest.mark.parametrize("genus", range(2, 9))
-    def test_genus_basis_reduces_neighbouring_pairs_only(self, genus, monkeypatch):
+    def test_genus_basis_reduces_neighbouring_pairs_only(self, genus, s_polys_built):
         # leads (a,b,c)^g have a linear resolution with g(g+2) first syzygies
         elements = relation_ideal_basis(genus).elements
-        reduced = []
-        real = newstead.groebner.s_polynomial
-
-        def counting(f, g):
-            reduced.append(1)
-            return real(f, g)
-
-        monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
+        s_polys_built.clear()
         assert is_groebner_basis(elements)
-        assert len(reduced) == genus * (genus + 2)
+        assert len(s_polys_built) == genus * (genus + 2)
 
     @pytest.mark.parametrize("genus", [3, 4, 5])
     def test_tail_tampers_rejected_like_all_pairs(self, genus):
