@@ -2,48 +2,39 @@
 
 Two bundles matter here: the rank g-1 quotient bundle pulled back from the
 Grassmannian embedding of the moduli space, and the tangent bundle of the
-moduli space itself.  Both total Chern classes have closed forms in the
-invariant classes.  They are transcribed here independently of the
-generating series: each closed-form polynomial becomes a power series in t
-whose t^w coefficient is its weight-w component, and the series module's
-truncated arithmetic (products, exp, binomial series) expands them, never
-forming a term above the truncation weight.  The agreement of the two
-transcriptions is one of the package's cross-checks.
-
-The closed forms, with x = alpha + sum_{m>=1} (alpha beta^m + 2 gamma
-beta^(m-1)) / (2m+1):
+moduli space itself.  Their closed forms, with x = alpha + sum_{m>=1}
+(alpha beta^m + 2 gamma beta^(m-1)) / (2m+1):
 
     c(Q)  = (1 - beta)^(-1/2) * exp(x)
     c(T)  = (1 - beta)^g * exp(-4 gamma / (1 - beta)) * c(Q)^2
           = (1 - beta)^(g-1) * exp(2x - 4 gamma sum_{j>=0} beta^j)
 
-where the graded component of weighted degree w is the w-th Chern class.
-The second form of c(T) follows from c(Q)^2 = (1 - beta)^(-1) exp(2x) and
-1/(1 - beta) = sum_j beta^j; it is what `tangent_chern` expands, one
-binomial series times one exponential.
-
-Above weighted degree 2g-2 every component of c(T) lies in the relation
-ideal, i.e. vanishes in the cohomology ring.
+where the graded component of weighted degree w is the w-th Chern class;
+above weight 2g-2 those of c(T) vanish in the cohomology ring.  Both
+exponents are linear in alpha and gamma: x = alpha U/2 + gamma V_Q and
+2x - 4 gamma sum_j beta^j = alpha U + gamma V, with U = sum_m 2 beta^m/(2m+1),
+V_Q = sum_j 2 beta^j/(2j+3) and V = 2 V_Q - 4 sum_j beta^j.  So each class
+is sum_{i,k} alpha^i gamma^k P U^i V^k / (i! k!), P = (1-beta)^(-1/2) or
+(1-beta)^(g-1), and `_expand` builds it from integer series in beta alone,
+sharing no arithmetic with the generating series of `series.py`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from math import comb, factorial, lcm
+from operator import mul
+from typing import Iterable, List, Tuple
 
-from .groebner import GroebnerBasis, ideal_equal
-from .ring import ALPHA, BETA, GAMMA, ZERO, Polynomial
-from .series import PowerSeries, generating_series, series_binomial, series_exp
+from .groebner import GroebnerBasis, _monomials_of_weight, ideal_equal, pairing_ratio
+from .relations import relations_by_recursion
+from .ring import Monomial, Polynomial
+from .series import generating_series
 
 __all__ = [
-    "QUOTIENT_BUNDLE",
-    "TANGENT_MODULI",
-    "GradedClass",
-    "quotient_chern",
-    "tangent_chern",
-    "chern_matches_series",
-    "chern_relations_check",
+    "QUOTIENT_BUNDLE", "TANGENT_MODULI", "GradedClass", "quotient_chern",
+    "tangent_chern", "chern_matches_series", "chern_relations_check",
     "tangent_vanishing_check",
 ]
 
@@ -69,83 +60,73 @@ class GradedClass:
             )
         return self.components[weight]
 
-    def total(self) -> Polynomial:
-        result = ZERO
-        for c in self.components:
-            result = result + c
-        return result
 
+def _expand(label, max_weight, pre, pre_den, u, v, den) -> GradedClass:
+    """sum_{i,k} alpha^i gamma^k P U^i V^k / (i! k!) through max_weight.
 
-def _graded(p: Polynomial, order: int) -> PowerSeries:
-    """p as a series in t whose t^w coefficient is its weight-w component."""
-    return PowerSeries([p.homogeneous_component(w) for w in range(order + 1)])
-
-
-def _quotient_exponent(max_weight: int) -> Polynomial:
-    """The exponent x of c(Q), through weight max_weight.
-
-    It is assembled from the two beta-free families alpha beta^m / (2m+1)
-    and 2 gamma beta^(m-1) / (2m+1), so no division by beta ever happens.
+    P, U and V are lists of integer numerators of series in beta, over
+    pre_den, den and den.  W_k = W_(k-1) V and P_(i,k) = P_(i-1,k) U are
+    products cut at the beta-degree j where alpha^i beta^j gamma^k still has
+    weight at most max_weight.  Block (i, k) has the denominator
+    pre_den den^(i+k) i! k!, and each output term is one Fraction.
     """
-    x = ALPHA
-    for m in range(1, (max_weight - 1) // 2 + 1):
-        x = x + (ALPHA * BETA**m + 2 * GAMMA * BETA ** (m - 1)) / (2 * m + 1)
-    return x
+    def times(p: List[int], q: List[int], top: int) -> List[int]:  # p q to beta^top
+        return [
+            sum(map(mul, p[max(0, j - len(q) + 1) : j + 1], reversed(q[: j + 1])))
+            for j in range(top + 1)
+        ]
 
-
-def _tangent_exponent(max_weight: int) -> Polynomial:
-    """2x - 4 gamma sum_{j>=0} beta^j, through weight max_weight.
-
-    gamma beta^j has weight 2j+3, so the geometric sum stops at
-    j = (max_weight-3)//2.
-    """
-    y = 2 * _quotient_exponent(max_weight)
-    for j in range((max_weight - 3) // 2 + 1):
-        y = y - 4 * GAMMA * BETA**j
-    return y
+    components = [{} for _ in range(max_weight + 1)]
+    for k in range(max_weight // 3 + 1):
+        p = w = times(w, v, (max_weight - 3 * k) // 2) if k else pre
+        for i in range(max_weight - 3 * k + 1):
+            p = times(p, u, (max_weight - i - 3 * k) // 2) if i else p
+            scale = pre_den * den ** (i + k) * factorial(i) * factorial(k)
+            for j, n in enumerate(p):
+                if n:
+                    components[i + 2 * j + 3 * k][Monomial(i, j, k)] = Fraction(n, scale)
+    return GradedClass(label, tuple(Polynomial._raw(c) for c in components))
 
 
 def quotient_chern(max_weight: int) -> GradedClass:
     """Total Chern class of the pulled-back quotient bundle, graded."""
     if max_weight < 0:
         raise ValueError("truncation weight must be non-negative")
-    minus_beta = _graded(-BETA, max_weight)
-    total = series_binomial(minus_beta, Fraction(-1, 2)) * series_exp(
-        _graded(_quotient_exponent(max_weight), max_weight)
-    )
-    return GradedClass(QUOTIENT_BUNDLE, total.coefficients)
+    top, den = max_weight // 2, lcm(*range(1, max_weight + 4, 2))
+    # (1-beta)^(-1/2) = sum_j C(2j, j) beta^j / 4^j
+    pre = [comb(2 * j, j) * 4 ** (top - j) for j in range(top + 1)]
+    u = [den // (2 * m + 1) for m in range(top + 1)]
+    v = [2 * den // (2 * j + 3) for j in range(top + 1)]
+    return _expand(QUOTIENT_BUNDLE, max_weight, pre, 4**top, u, v, den)
 
 
 def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     """Total Chern class of the tangent bundle of the genus-g moduli space.
 
-    Expanded as (1-beta)^(g-1) * exp(2x - 4 gamma sum_j beta^j), the closed
-    form (1-beta)^g * exp(-4 gamma / (1-beta)) * c(Q)^2 rewritten with
-    c(Q)^2 = (1-beta)^(-1) exp(2x): one binomial series times one
-    exponential, and no rational function arithmetic.
+    Expanded as (1-beta)^(g-1) * exp(alpha U + gamma V), one exponential.
     """
     if genus < 2:
         raise ValueError("the tangent class needs genus at least 2")
     if max_weight < 0:
         raise ValueError("truncation weight must be non-negative")
-    total = series_binomial(_graded(-BETA, max_weight), genus - 1) * series_exp(
-        _graded(_tangent_exponent(max_weight), max_weight)
-    )
-    return GradedClass(TANGENT_MODULI, total.coefficients)
+    top, den = max_weight // 2, lcm(*range(1, max_weight + 4, 2))
+    pre = [(-1) ** j * comb(genus - 1, j) for j in range(top + 1)]
+    u = [2 * den // (2 * m + 1) for m in range(top + 1)]
+    v = [4 * den // (2 * j + 3) - 4 * den for j in range(top + 1)]
+    return _expand(TANGENT_MODULI, max_weight, pre, 1, u, v, den)
 
 
 def chern_matches_series(genus: int) -> bool:
     """Compare c_r(Q) with the t^r series coefficient for all r <= g+2.
 
-    The two sides are independent transcriptions of the closed form that
-    share only the truncated series arithmetic; `relations-dual-path` and
-    `functional-equation` certify that arithmetic without it.
+    The two sides share no arithmetic: `quotient_chern` multiplies integer
+    series in beta alone, and `generating_series` truncated series in t
+    with polynomial coefficients, which `relations-dual-path` and
+    `functional-equation` certify without it.
     """
     graded = quotient_chern(genus + 2)
     series = generating_series(genus + 2)
-    return all(
-        graded.component(r) == series.coefficient(r) for r in range(genus + 3)
-    )
+    return all(graded.component(r) == series.coefficient(r) for r in range(genus + 3))
 
 
 def chern_relations_check(genus: int, gb: GroebnerBasis) -> bool:
@@ -155,22 +136,41 @@ def chern_relations_check(genus: int, gb: GroebnerBasis) -> bool:
     exact triangular identity, or else reduces each class modulo `gb` (the
     membership direction) and the triple modulo a basis of the classes.
     """
-    from .relations import relations_by_recursion
-
     graded = quotient_chern(genus + 2)
     classes = [graded.component(r) for r in (genus, genus + 1, genus + 2)]
-    triple = relations_by_recursion(genus)
-    return ideal_equal(classes, triple.polynomials(), basis2=gb)
+    return ideal_equal(classes, relations_by_recursion(genus).polynomials(), basis2=gb)
+
+
+def _all_vanish(xs: Iterable[Polynomial], genus: int, gb: GroebnerBasis) -> bool:
+    """Each weighted homogeneous x in xs is zero modulo the genus-g ideal.
+
+    By duality: L(x s) = 0 for every monomial s of weight 3g-3 minus that
+    of x, with L = `pairing_ratio` and each x scaled to integers.
+    """
+    top = 3 * genus - 3
+    ratios = {m: pairing_ratio(m, gb) for m in _monomials_of_weight(top)}
+    scale = lcm(*(q.denominator for q in ratios.values()))
+    socle = {m: q.numerator * (scale // q.denominator) for m, q in ratios.items()}
+    for x in filter(None, xs):
+        den = lcm(*(q.denominator for q in x.terms.values()))
+        terms = [(m, q.numerator * (den // q.denominator)) for m, q in x.terms.items()]
+        for s in _monomials_of_weight(top - x.weighted_degree()):
+            if sum(n * socle[m * s] for m, n in terms):
+                return False
+    return True
 
 
 def tangent_vanishing_check(genus: int, gb: GroebnerBasis) -> bool:
     """Tangent Chern classes above weighted degree 2g-2 vanish mod the ideal.
 
-    Checks every component with weighted degree in (2g-2, 3g-3].
+    Checks every component of weighted degree w in (2g-2, 3g-3] without
+    division, through `pairing_ratio` on the genus-tagged basis `gb`.  The
+    quotient R_g is a complete intersection (`hilbert-closed-form`), hence
+    Gorenstein, and c^(g-1) spans its socle in weight 3g-3 (`socle-unique`);
+    so the pairing R_w x R_(3g-3-w) -> Q through the socle coefficient is
+    perfect, and a component is zero in R_g exactly when it pairs to zero
+    with every monomial of weight 3g-3-w.  The row is sound only with those
+    two rows; `verify` fails if they fail.
     """
-    top = 3 * genus - 3
-    graded = tangent_chern(genus, top)
-    return all(
-        not gb.normal_form(graded.component(w))
-        for w in range(2 * genus - 1, top + 1)
-    )
+    graded = tangent_chern(genus, 3 * genus - 3)
+    return _all_vanish(graded.components[2 * genus - 1 :], genus, gb)

@@ -371,8 +371,9 @@ class TestVerify:
         assert "verify: 20/21 checks passed, 1 FAILED" in out
 
     def test_dual_path_certifies_series_product(self, monkeypatch):
-        # chern and series share PowerSeries arithmetic, so a fault there
-        # must show up in the recursion, which uses no series
+        # the generating series and the definition route share PowerSeries
+        # arithmetic, so a fault there must show up in the recursion, which
+        # uses no series
         product = PowerSeries.__mul__
 
         def lossy(self, other):
@@ -459,6 +460,25 @@ class TestVerify:
         assert not all_ok
         for g in range(1, 6):
             assert (f"g={g}", "chern-relations", g <= 2, "") in checks
+
+    @pytest.mark.parametrize("socle", [True, False])
+    def test_tangent_vanishing_can_fail(self, monkeypatch, socle):
+        honest = newstead.chern.tangent_chern
+
+        def tampered(genus, max_weight):
+            # c^(g-1) spans the socle, weight 3g-3; c b^(g-2) is a standard
+            # monomial of weight 2g-1, the lowest weight the row checks
+            m = Monomial(0, 0, genus - 1) if socle else Monomial(0, genus - 2, 1)
+            graded = honest(genus, max_weight)
+            components = list(graded.components)
+            components[m.weight] = components[m.weight] + Polynomial({m: 1})
+            return GradedClass(graded.label, tuple(components))
+
+        monkeypatch.setattr(newstead.chern, "tangent_chern", tampered)
+        checks, all_ok = newstead.verify.run_verify(2, 5)
+        assert not all_ok
+        failed = {(scope, name) for scope, name, ok, _ in checks if not ok}
+        assert failed == {(f"g={g}", "tangent-vanishing") for g in range(2, 6)}
 
 
 class TestCache:
