@@ -9,11 +9,12 @@ the update drops a pair only while its two leads stay linked, through leads
 dividing its lcm, by kept or coprime pairs of that lcm and by pairs of
 smaller lcm, so each skipped S-polynomial has an lcm-representation once the
 kept ones reduce to zero.
-The shape checks cost time linear in the file and imply that the set is
-reduced with C(g+2, 3) standard monomials.  Then it is a Groebner basis of an
-ideal I containing the genus-g ideal J with dim Q[a,b,c]/I = dim Q[a,b,c]/J,
-so I = J, and as the reduced basis of an ideal is unique, the file is
-bit-identical to a freshly computed basis.
+An element list of any length but C(g+2, 2) is rejected before a single
+element is parsed.  The shape checks cost time linear in the file and imply
+that the set is reduced with C(g+2, 3) standard monomials.  Then it is a
+Groebner basis of an ideal I containing the genus-g ideal J with
+dim Q[a,b,c]/I = dim Q[a,b,c]/J, so I = J, and as the reduced basis of an
+ideal is unique, the file is bit-identical to a freshly computed basis.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from math import comb
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -107,7 +109,9 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
     ) != (CACHE_VERSION, genus, ORDER_TAG):
         return None
     raw = payload.get("elements")
-    if not isinstance(raw, list) or not raw:
+    # _has_genus_shape wants one element per lead; checking the length first
+    # keeps a long list from being parsed at all
+    if not isinstance(raw, list) or len(raw) != comb(genus + 2, 2):
         return None
     try:
         elements = tuple(parse_poly(text) for text in raw)

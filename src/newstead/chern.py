@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .groebner import GroebnerBasis, _monomials_of_weight, ideal_equal, pairing_ratio
 from .relations import relations_by_recursion
 from .ring import Monomial, Polynomial
-from .series import generating_series
+from .series import PowerSeries, generating_series
 
 __all__ = [
     "QUOTIENT_BUNDLE", "TANGENT_MODULI", "GradedClass", "quotient_chern",
@@ -116,16 +116,19 @@ def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     return _expand(TANGENT_MODULI, max_weight, pre, 1, u, v, den)
 
 
-def chern_matches_series(genus: int) -> bool:
+def chern_matches_series(genus: int, series: Optional[PowerSeries] = None) -> bool:
     """Compare c_r(Q) with the t^r series coefficient for all r <= g+2.
 
-    The two sides share no arithmetic: `quotient_chern` multiplies integer
-    series in beta alone, and `generating_series` truncated series in t
-    with polynomial coefficients, which `relations-dual-path` and
-    `functional-equation` certify without it.
+    `series` is the generating series truncated at order g+2 or beyond,
+    `generating_series(g + 2)` when not given; `verify` passes the one its
+    other rows of genus g read.  The two sides share no arithmetic:
+    `quotient_chern` multiplies integer series in beta alone, and
+    `generating_series` truncated series in t with polynomial coefficients,
+    which `relations-dual-path` and `functional-equation` certify without it.
     """
     graded = quotient_chern(genus + 2)
-    series = generating_series(genus + 2)
+    if series is None:
+        series = generating_series(genus + 2)
     return all(graded.component(r) == series.coefficient(r) for r in range(genus + 3))
 
 

@@ -10,15 +10,21 @@ homogeneous of weighted degree k.
 Operations on two series truncate to the smaller of the two orders;
 requesting a coefficient beyond the truncation order is an error, never a
 silent zero.
+
+Every coefficient of a product, an exponential, a binomial series or the
+residual is one integer sum of products, `_sum_of_products`: each input
+coefficient is scaled once to integer numerators over the lcm of its
+denominators, the products of numerators accumulate per monomial over one
+common denominator, and each surviving output term is one `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Optional, Tuple, Union
+from math import factorial, lcm
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Polynomial
+from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
 
 __all__ = [
     "PowerSeries",
@@ -36,6 +42,61 @@ def _coerce_poly(value) -> Polynomial:
     if isinstance(value, (int, Fraction)):
         return Polynomial.constant(value) if value else ZERO
     raise TypeError(f"cannot use {value!r} as a series coefficient")
+
+
+# An integer form (d, [(key, n)]) stands for sum n m / d, the exponents of m
+# packed into key in _SHIFT bits each; inputs stay below 2^(_SHIFT-1), so the
+# key of a product of two monomials is the sum of their keys.
+IntegerForm = Tuple[int, List[Tuple[int, int]]]
+_SHIFT = 16
+_MASK = (1 << _SHIFT) - 1
+
+
+def _integer_form(p: Polynomial) -> IntegerForm:
+    """p over the lcm of its denominators, with packed exponents."""
+    terms = p.terms
+    if terms and max(map(max, terms)) >> (_SHIFT - 1):
+        raise ValueError(f"exponent of {p} too large for series arithmetic")
+    den = lcm(*(q.denominator for q in terms.values()))
+    return den, [
+        (a | b << _SHIFT | c << 2 * _SHIFT, q.numerator * (den // q.denominator))
+        for (a, b, c), q in terms.items()
+    ]
+
+
+def _sum_of_products(
+    products: Iterable[Tuple[int, IntegerForm, IntegerForm]], den: int = 1
+) -> Polynomial:
+    """sum w p q / den over the (w, p, q) products, for integers w and den.
+
+    Each product of numerators accumulates per monomial, over the lcm D of
+    the denominators d_p d_q; the weight w D / (d_p d_q) is folded into the
+    left numerators.  Each surviving output term is one Fraction over D den.
+    """
+    products = [(w, p, q) for w, p, q in products if w and p[1] and q[1]]
+    common = lcm(*(dp * dq for _, (dp, _), (dq, _) in products))
+    acc: dict = {}
+    get = acc.get
+    for w, (dp, left), (dq, right) in products:
+        scale = w * common // (dp * dq)
+        for k1, n1 in left:
+            n1 *= scale
+            for k2, n2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+    den *= common
+    return Polynomial._raw(
+        {
+            Monomial(k & _MASK, k >> _SHIFT & _MASK, k >> 2 * _SHIFT): Fraction(n, den)
+            for k, n in acc.items()
+            if n
+        }
+    )
+
+
+_ONE_FORM, _ZERO_FORM = _integer_form(ONE), _integer_form(ZERO)
+# the factors of the four products in functional_equation_residual
+_EQUATION = tuple(map(_integer_form, (ONE, ALPHA, BETA, GAMMA)))
 
 
 class PowerSeries:
@@ -117,15 +178,14 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            coeffs = [ZERO] * (n + 1)
-            for i, ci in enumerate(self._coeffs[: n + 1]):
-                if not ci:
-                    continue
-                for j in range(n + 1 - i):
-                    cj = other._coeffs[j]
-                    if cj:
-                        coeffs[i + j] = coeffs[i + j] + ci * cj
-            return PowerSeries(coeffs)
+            p = [_integer_form(c) for c in self._coeffs[: n + 1]]
+            q = [_integer_form(c) for c in other._coeffs[: n + 1]]
+            return PowerSeries(
+                [
+                    _sum_of_products((1, p[i], q[k - i]) for i in range(k + 1))
+                    for k in range(n + 1)
+                ]
+            )
         if isinstance(other, (int, Fraction, Polynomial)):
             return PowerSeries([c * other for c in self._coeffs])
         return NotImplemented
@@ -140,41 +200,42 @@ class PowerSeries:
 
 
 def series_exp(s: PowerSeries) -> PowerSeries:
-    """exp(s) = sum s^k / k!, for s with zero constant coefficient."""
+    """exp(s) = sum s^k / k!, for s with zero constant coefficient.
+
+    E = exp(s) solves E' = s' E with E_0 = 1, so
+    k E_k = sum_{j=1..k} j s_j E_(k-j): one `_sum_of_products` per
+    coefficient, and one Fraction per output term.
+    """
     if s.coefficient(0):
         raise ValueError("series exponential needs a zero constant coefficient")
-    n = s.order
-    acc = PowerSeries([ONE], order=n)
-    term = acc
-    for k in range(1, n + 1):
-        term = term * s * Fraction(1, k)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
+    return _solve(s, lambda j, k: j)
 
 
 def series_binomial(u: PowerSeries, exponent: Union[int, Fraction]) -> PowerSeries:
-    """(1 + u)^exponent via the generalized binomial series.
+    """(1 + u)^exponent for u with zero constant coefficient.
 
-    `u` must have zero constant coefficient; the binomial coefficients are
-    exact rationals.
+    B = (1 + u)^e solves (1 + u) B' = e u' B with B_0 = 1, so
+    k B_k = sum_{j=1..k} (e j - (k - j)) u_j B_(k-j); with e = r/d that is
+    one `_sum_of_products` with integer weights (r + d) j - k d over k d.
     """
     if u.coefficient(0):
         raise ValueError("binomial series needs a zero constant coefficient")
     e = Fraction(exponent)
-    n = u.order
-    acc = PowerSeries([ONE], order=n)
-    power = acc
-    coeff = Fraction(1)
-    for k in range(1, n + 1):
-        coeff *= Fraction(e - k + 1, k)
-        power = power * u
-        if power.is_zero():
-            break
-        if coeff:
-            acc = acc + coeff * power
-    return acc
+    r, d = e.numerator, e.denominator
+    return _solve(u, lambda j, k: (r + d) * j - k * d, d)
+
+
+def _solve(
+    s: PowerSeries, weight: Callable[[int, int], int], den: int = 1
+) -> PowerSeries:
+    """F with F_0 = 1 and k den F_k = sum_{j=1..k} weight(j, k) s_j F_(k-j)."""
+    forms = [_integer_form(c) for c in s.coefficients]
+    coeffs, solved = [ONE], [_ONE_FORM]
+    for k in range(1, s.order + 1):
+        products = ((weight(j, k), forms[j], solved[k - j]) for j in range(1, k + 1))
+        coeffs.append(_sum_of_products(products, k * den))
+        solved.append(_integer_form(coeffs[-1]))
+    return PowerSeries(coeffs)
 
 
 def generating_series(order: int) -> PowerSeries:
@@ -220,11 +281,18 @@ def functional_equation_residual(s: PowerSeries) -> PowerSeries:
     """(1 - beta t^2) s'(t) - (alpha + beta t + 2 gamma t^2) s(t).
 
     Zero through order N-1 exactly when s solves the differential equation
-    of the generating series; the result is truncated at order N-1.
+    of the generating series; the result is truncated at order N-1.  Its
+    t^k coefficient is (k+1) s_(k+1) - alpha s_k - k beta s_(k-1)
+    - 2 gamma s_(k-2), one `_sum_of_products`.
     """
-    n = s.order
-    if n < 1:
+    if s.order < 1:
         raise ValueError("residual needs a series of order at least 1")
-    lhs = PowerSeries([ONE, ZERO, -BETA], order=n - 1) * s.derivative()
-    rhs = PowerSeries([ALPHA, BETA, 2 * GAMMA], order=n - 1) * s
-    return lhs - rhs
+    c = [_ZERO_FORM, _ZERO_FORM] + [_integer_form(x) for x in s.coefficients]
+    return PowerSeries(
+        [
+            _sum_of_products(
+                zip((k + 1, -1, -k, -2), _EQUATION, (c[k + 3], c[k + 2], c[k + 1], c[k]))
+            )
+            for k in range(s.order)
+        ]
+    )

@@ -113,7 +113,7 @@ CHECKS: Tuple[Row, ...] = (
     Row("uniqueness-support", ALL,
         lambda x: x.sm.contains_tails(x.by_rec.polynomials())),
     Row("ideal-equal-series", ALL, _ideal_equal_series),
-    Row("chern-matches-series", ALL, lambda x: chern_matches_series(x.g)),
+    Row("chern-matches-series", ALL, lambda x: chern_matches_series(x.g, x.phi)),
     Row("chern-relations", ALL, lambda x: chern_relations_check(x.g, x.gb)),
     Row("invariant-dimensions", ALL, lambda x: invariant_dimensions(x.g) == x.counts),
     Row("tangent-vanishing", FROM_2, lambda x: tangent_vanishing_check(x.g, x.gb)),

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import newstead.cache
 import newstead.chern
 import newstead.cli
 import newstead.groebner
+import newstead.series
 import newstead.verify
 from newstead.betti import BettiTable, default_s_max
 from newstead.chern import GradedClass
@@ -27,8 +29,13 @@ from newstead.cli import (
     main,
     save_cached_basis,
 )
-from newstead.groebner import GroebnerBasis, normal_form, relation_ideal_basis
-from newstead.ring import ALPHA, BETA, Monomial, Polynomial
+from newstead.groebner import (
+    GroebnerBasis,
+    expected_initial_ideal,
+    normal_form,
+    relation_ideal_basis,
+)
+from newstead.ring import ALPHA, BETA, ONE, ZERO, Monomial, Polynomial
 from newstead.series import PowerSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -388,6 +395,25 @@ class TestVerify:
         assert ("g=2", "relations-dual-path", False, "") in checks
         assert ("g=3", "relations-dual-path", False, "") in checks
 
+    def test_functional_equation_can_fail(self, monkeypatch):
+        # k E_k = sum_j j s_j E_(k-j) is the exponential; dividing by k + 1
+        # instead gives a series off the differential equation
+        def wrong_exp(s):
+            e = [ONE]
+            for k in range(1, s.order + 1):
+                total = ZERO
+                for j in range(1, k + 1):
+                    total = total + j * s.coefficient(j) * e[k - j]
+                e.append(total / (k + 1))
+            return PowerSeries(e)
+
+        monkeypatch.setattr(newstead.series, "series_exp", wrong_exp)
+        checks, all_ok = newstead.verify.run_verify(2, 3)
+        assert not all_ok
+        assert ("global", "functional-equation", False, "order 25") in checks
+        assert ("g=2", "relations-dual-path", False, "") in checks
+        assert ("g=3", "relations-dual-path", False, "") in checks
+
     def test_chern_matches_series_can_fail(self, monkeypatch):
         honest = newstead.chern.quotient_chern
 
@@ -505,9 +531,11 @@ class TestCache:
         gb = relation_ideal_basis(2)
         path = save_cached_basis(tmp_path, gb)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["elements"] = ["a", "b"]
+        # the reduced basis of (a, b, c)^2: the right shape and a Groebner
+        # basis, but of the wrong ideal; fails revalidation, never trusted
+        leads = sorted(expected_initial_ideal(2))
+        payload["elements"] = [str(Polynomial({m: 1})) for m in leads]
         path.write_text(json.dumps(payload), encoding="utf-8")
-        # basis of the wrong ideal: fails revalidation, never trusted
         assert load_cached_basis(tmp_path, 2) is None
 
     def test_tampered_element_fails_spolynomial_check(self, tmp_path):
@@ -541,6 +569,32 @@ class TestCache:
         path.write_text(payload(text), encoding="utf-8")
         assert path.read_text(encoding="utf-8") != text
         assert load_cached_basis(tmp_path, 2) is None
+        cache = ("--cache-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, "hilbert", "-g", "2", *cache)
+        assert (code, out.strip()) == (EXIT_OK, "1 1 1 1")
+        assert load_cached_basis(tmp_path, 2) is not None  # rewritten
+
+    def test_wrong_length_rejected_before_parsing(self, tmp_path, monkeypatch):
+        # a genus-g basis has one element per monomial of degree g
+        save_cached_basis(tmp_path, relation_ideal_basis(2))
+        calls = []
+        parse = newstead.cache.parse_poly
+
+        def counting(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(newstead.cache, "parse_poly", counting)
+        assert load_cached_basis(tmp_path, 2) is not None
+        assert len(calls) == 6
+        for elements in (lambda old: old[:-1], lambda old: old + old[-1:]):
+            calls.clear()
+            self._poison(tmp_path, 2, elements)
+            assert load_cached_basis(tmp_path, 2) is None
+            assert calls == []
+
+    def test_long_element_list_recomputed(self, tmp_path, capsys):
+        self._poison(tmp_path, 2, lambda old: ["a^2 + b"] * 200_000)
         cache = ("--cache-dir", str(tmp_path))
         code, out, _ = run_cli(capsys, "hilbert", "-g", "2", *cache)
         assert (code, out.strip()) == (EXIT_OK, "1 1 1 1")

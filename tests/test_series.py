@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newstead.ring import ALPHA, BETA, GAMMA, ONE, ZERO, Polynomial
+import newstead.series
+from newstead.ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
 from newstead.series import (
     PowerSeries,
     functional_equation_residual,
@@ -203,3 +205,155 @@ class TestFunctionalEquation:
         bumped = phi + PowerSeries([0, 0, 1], order=6)
         residual = functional_equation_residual(bumped)
         assert residual.coefficient(1) == Polynomial.constant(2)
+
+
+# Oracles: the series arithmetic as it was before the integer kernel, one
+# Fraction product and one Fraction sum per pair of terms, so they share no
+# code with `_sum_of_products`.
+
+
+def product_oracle(left, right):
+    n = min(left.order, right.order)
+    coeffs = [ZERO] * (n + 1)
+    for i, ci in enumerate(left.coefficients[: n + 1]):
+        if not ci:
+            continue
+        for j in range(n + 1 - i):
+            cj = right.coefficients[j]
+            if cj:
+                coeffs[i + j] = coeffs[i + j] + ci * cj
+    return PowerSeries(coeffs)
+
+
+def scaled(s, q):
+    return PowerSeries([c * q for c in s.coefficients])
+
+
+def exp_oracle(s):
+    """exp(s) = sum s^k / k!, term by term."""
+    if s.coefficient(0):
+        raise ValueError("series exponential needs a zero constant coefficient")
+    n = s.order
+    acc = PowerSeries([ONE], order=n)
+    term = acc
+    for k in range(1, n + 1):
+        term = scaled(product_oracle(term, s), Fraction(1, k))
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def binomial_oracle(u, exponent):
+    """(1 + u)^e = sum C(e, k) u^k, power by power."""
+    if u.coefficient(0):
+        raise ValueError("binomial series needs a zero constant coefficient")
+    e = Fraction(exponent)
+    acc = power = PowerSeries([ONE], order=u.order)
+    coeff = Fraction(1)
+    for k in range(1, u.order + 1):
+        coeff *= Fraction(e - k + 1, k)
+        power = product_oracle(power, u)
+        acc = acc + scaled(power, coeff)
+    return acc
+
+
+def residual_oracle(s):
+    n = s.order - 1
+    lhs = product_oracle(PowerSeries([ONE, ZERO, -BETA], order=n), s.derivative())
+    rhs = product_oracle(PowerSeries([ALPHA, BETA, 2 * GAMMA], order=n), s)
+    return lhs - rhs
+
+
+def series_oracle(order):
+    """The generating series from the oracles."""
+    exponent = [ZERO] * (order + 1)
+    for k in range(1, order + 1, 2):
+        m = k // 2
+        tail = 2 * GAMMA * BETA ** (m - 1) if m else ZERO
+        exponent[k] = (ALPHA * BETA**m + tail) / k
+    u = PowerSeries([ZERO, ZERO, -BETA], order=order)
+    inverse_root = binomial_oracle(u, Fraction(-1, 2))
+    return product_oracle(inverse_root, exp_oracle(PowerSeries(exponent)))
+
+
+# Coefficients with large denominators, zero and non-homogeneous polynomials,
+# and series of different orders.
+scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**12),
+)
+polynomials = st.dictionaries(
+    st.builds(Monomial, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    scalars,
+    max_size=4,
+).map(Polynomial)
+series = st.lists(polynomials, min_size=1, max_size=6).map(PowerSeries)
+
+
+class TestKernelAgainstOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(series, series)
+    def test_product(self, left, right):
+        assert left * right == product_oracle(left, right)
+
+    @settings(max_examples=80, deadline=None)
+    @given(series, st.booleans())
+    def test_exp(self, s, clear_constant):
+        if clear_constant:
+            s = PowerSeries((ZERO,) + s.coefficients[1:])
+        if s.coefficient(0):
+            with pytest.raises(ValueError):
+                series_exp(s)
+            with pytest.raises(ValueError):
+                exp_oracle(s)
+        else:
+            assert series_exp(s) == exp_oracle(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        series,
+        st.booleans(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    )
+    def test_binomial(self, u, clear_constant, exponent):
+        if clear_constant:
+            u = PowerSeries((ZERO,) + u.coefficients[1:])
+        if u.coefficient(0):
+            with pytest.raises(ValueError):
+                series_binomial(u, exponent)
+        else:
+            assert series_binomial(u, exponent) == binomial_oracle(u, exponent)
+
+    @settings(max_examples=80, deadline=None)
+    @given(series.filter(lambda s: s.order >= 1))
+    def test_residual(self, s):
+        assert functional_equation_residual(s) == residual_oracle(s)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 12])
+    def test_generating_series(self, order):
+        assert generating_series(order) == series_oracle(order)
+
+    def test_huge_exponent_rejected(self):
+        s = PowerSeries([ZERO, Polynomial({Monomial(0, 0, 1 << 15): 1})])
+        with pytest.raises(ValueError):
+            s * s
+        assert PowerSeries([ONE, ALPHA**100]) * PowerSeries([ONE, BETA]) == (
+            PowerSeries([ONE, ALPHA**100 + BETA])
+        )
+
+    def test_kernel_carries_the_arithmetic(self, monkeypatch):
+        kernel = newstead.series._sum_of_products
+
+        def drop_one(products, den=1):
+            return kernel(list(products)[1:], den)
+
+        monkeypatch.setattr(newstead.series, "_sum_of_products", drop_one)
+        assert generating_series(8) != series_oracle(8)
+
+
+def test_generating_series_digest():
+    text = str(generating_series(30))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1abc01186e2c7dc24b64f6b804626f28da4f5995fdec9395adc7ee6c996a407f"
+    )
