@@ -24,8 +24,6 @@ from .betti import (
     newstead_betti,
 )
 from .chern import (
-    QUOTIENT_BUNDLE,
-    TANGENT_MODULI,
     GradedClass,
     chern_matches_series,
     chern_relations_check,
@@ -50,8 +48,6 @@ from .groebner import (
     standard_monomials,
 )
 from .relations import (
-    BY_DEFINITION,
-    BY_RECURSION,
     RelationTriple,
     initial_terms,
     iter_recursion_triples,
@@ -86,8 +82,6 @@ __all__ = [
     "generating_series",
     "taylor_derivative",
     "functional_equation_residual",
-    "BY_RECURSION",
-    "BY_DEFINITION",
     "RelationTriple",
     "relations_by_recursion",
     "relations_by_definition",
@@ -107,8 +101,6 @@ __all__ = [
     "complete_intersection_hilbert",
     "pairing_ratio",
     "ideal_equal",
-    "QUOTIENT_BUNDLE",
-    "TANGENT_MODULI",
     "GradedClass",
     "quotient_chern",
     "tangent_chern",

@@ -29,8 +29,6 @@ from math import comb
 from typing import Optional, Tuple
 
 __all__ = [
-    "RECURSION",
-    "ENUMERATION",
     "BettiTable",
     "default_s_max",
     "newstead_betti",
@@ -40,17 +38,12 @@ __all__ = [
     "invariant_dimensions",
 ]
 
-RECURSION = "recursion"
-ENUMERATION = "enumeration"
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Dimensions of even cohomology, indexed by half-degree s."""
 
     genus: int
     values: Tuple[int, ...]
-    source: str
 
     def __len__(self) -> int:
         return len(self.values)
@@ -76,7 +69,7 @@ def newstead_betti(genus: int, s_max: Optional[int] = None) -> BettiTable:
             if 2 * l <= 2 * genus:
                 new += comb(2 * genus, 2 * l)
         values.append(values[s - 2] + new)
-    return BettiTable(genus, tuple(values), RECURSION)
+    return BettiTable(genus, tuple(values))
 
 
 def enumerate_generator_counts(genus: int, s: int) -> int:
@@ -119,7 +112,6 @@ def enumeration_table(genus: int, s_max: Optional[int] = None) -> BettiTable:
     return BettiTable(
         genus,
         tuple(enumerate_generator_counts(genus, s) for s in range(s_max + 1)),
-        ENUMERATION,
     )
 
 

@@ -58,7 +58,7 @@ def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
     payload = {
         "version": CACHE_VERSION,
         "genus": gb.genus,
-        "order_tag": gb.order_tag,
+        "order_tag": ORDER_TAG,
         "elements": [str(p) for p in gb.elements],
     }
     target = cache_path(cache_dir, gb.genus)

@@ -25,28 +25,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .groebner import GroebnerBasis, _monomials_of_weight, ideal_equal, pairing_ratio
-from .relations import relations_by_recursion
+from .relations import RelationTriple
 from .ring import Monomial, Polynomial
-from .series import PowerSeries, generating_series
+from .series import PowerSeries
 
 __all__ = [
-    "QUOTIENT_BUNDLE", "TANGENT_MODULI", "GradedClass", "quotient_chern",
-    "tangent_chern", "chern_matches_series", "chern_relations_check",
-    "tangent_vanishing_check",
+    "GradedClass", "quotient_chern", "tangent_chern", "chern_matches_series",
+    "chern_relations_check", "tangent_vanishing_check",
 ]
-
-QUOTIENT_BUNDLE = "quotient_bundle"
-TANGENT_MODULI = "tangent_moduli"
 
 
 @dataclass(frozen=True)
 class GradedClass:
     """Graded components indexed by weighted degree 0..max_degree."""
 
-    label: str
     components: Tuple[Polynomial, ...]
 
     @property
@@ -61,7 +56,7 @@ class GradedClass:
         return self.components[weight]
 
 
-def _expand(label, max_weight, pre, pre_den, u, v, den) -> GradedClass:
+def _expand(max_weight, pre, pre_den, u, v, den) -> GradedClass:
     """sum_{i,k} alpha^i gamma^k P U^i V^k / (i! k!) through max_weight.
 
     P, U and V are lists of integer numerators of series in beta, over
@@ -85,7 +80,7 @@ def _expand(label, max_weight, pre, pre_den, u, v, den) -> GradedClass:
             for j, n in enumerate(p):
                 if n:
                     components[i + 2 * j + 3 * k][Monomial(i, j, k)] = Fraction(n, scale)
-    return GradedClass(label, tuple(Polynomial._raw(c) for c in components))
+    return GradedClass(tuple(Polynomial._raw(c) for c in components))
 
 
 def quotient_chern(max_weight: int) -> GradedClass:
@@ -97,7 +92,7 @@ def quotient_chern(max_weight: int) -> GradedClass:
     pre = [comb(2 * j, j) * 4 ** (top - j) for j in range(top + 1)]
     u = [den // (2 * m + 1) for m in range(top + 1)]
     v = [2 * den // (2 * j + 3) for j in range(top + 1)]
-    return _expand(QUOTIENT_BUNDLE, max_weight, pre, 4**top, u, v, den)
+    return _expand(max_weight, pre, 4**top, u, v, den)
 
 
 def tangent_chern(genus: int, max_weight: int) -> GradedClass:
@@ -113,35 +108,34 @@ def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     pre = [(-1) ** j * comb(genus - 1, j) for j in range(top + 1)]
     u = [2 * den // (2 * m + 1) for m in range(top + 1)]
     v = [4 * den // (2 * j + 3) - 4 * den for j in range(top + 1)]
-    return _expand(TANGENT_MODULI, max_weight, pre, 1, u, v, den)
+    return _expand(max_weight, pre, 1, u, v, den)
 
 
-def chern_matches_series(genus: int, series: Optional[PowerSeries] = None) -> bool:
+def chern_matches_series(genus: int, series: PowerSeries) -> bool:
     """Compare c_r(Q) with the t^r series coefficient for all r <= g+2.
 
-    `series` is the generating series truncated at order g+2 or beyond,
-    `generating_series(g + 2)` when not given; `verify` passes the one its
-    other rows of genus g read.  The two sides share no arithmetic:
-    `quotient_chern` multiplies integer series in beta alone, and
-    `generating_series` truncated series in t with polynomial coefficients,
-    which `relations-dual-path` and `functional-equation` certify without it.
+    `series` is the generating series truncated at order g+2 or beyond;
+    `verify` passes the one its other rows of genus g read.  The two sides
+    share no arithmetic: `quotient_chern` multiplies integer series in beta
+    alone, and `generating_series` truncated series in t with polynomial
+    coefficients, which `relations-dual-path` and `functional-equation`
+    certify without it.
     """
     graded = quotient_chern(genus + 2)
-    if series is None:
-        series = generating_series(genus + 2)
     return all(graded.component(r) == series.coefficient(r) for r in range(genus + 3))
 
 
-def chern_relations_check(genus: int, gb: GroebnerBasis) -> bool:
+def chern_relations_check(triple: RelationTriple, gb: GroebnerBasis) -> bool:
     """c_g, c_{g+1}, c_{g+2} of the quotient bundle generate the ideal.
 
-    Ideal equality with the relation triple: `ideal_equal` proves it by an
+    Ideal equality with the genus-g `triple`: `ideal_equal` proves it by an
     exact triangular identity, or else reduces each class modulo `gb` (the
     membership direction) and the triple modulo a basis of the classes.
     """
-    graded = quotient_chern(genus + 2)
-    classes = [graded.component(r) for r in (genus, genus + 1, genus + 2)]
-    return ideal_equal(classes, relations_by_recursion(genus).polynomials(), basis2=gb)
+    g = triple.genus
+    graded = quotient_chern(g + 2)
+    classes = [graded.component(r) for r in (g, g + 1, g + 2)]
+    return ideal_equal(classes, triple.polynomials(), basis2=gb)
 
 
 def _all_vanish(xs: Iterable[Polynomial], genus: int, gb: GroebnerBasis) -> bool:

@@ -20,6 +20,7 @@ from .betti import betti_cross_check, default_s_max, newstead_betti
 from .cache import load_cached_basis, relation_basis_cached, save_cached_basis
 from .chern import quotient_chern, tangent_chern
 from .groebner import (
+    ORDER_TAG,
     hilbert_series,
     initial_ideal_minimal_generators,
     pairing_ratio,
@@ -52,20 +53,33 @@ class UsageError(Exception):
 # Helpers
 
 
+def integer(text: str) -> int:
+    """ASCII digits with an optional leading '-'.
+
+    `int` alone also reads '+', '_' and non-ASCII digits such as fullwidth
+    ones, which the polynomial grammar refuses too.  argparse names this
+    function in its message for a bad option value.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_genus_field(text: str, allow_range: bool) -> Tuple[int, int]:
     if ".." in text:
         if not allow_range:
             raise UsageError("a genus range is only accepted by 'verify'")
         lo_text, _, hi_text = text.partition("..")
         try:
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = integer(lo_text), integer(hi_text)
         except ValueError:
             raise UsageError(f"malformed genus range {text!r}; use e.g. 1..8")
         if lo < 1 or hi < lo:
             raise UsageError(f"bad genus range {text!r}")
     else:
         try:
-            lo = hi = int(text)
+            lo = hi = integer(text)
         except ValueError:
             raise UsageError(f"malformed genus {text!r}")
         if lo < 1:
@@ -99,7 +113,7 @@ def _cmd_relations(args) -> int:
     genus, _ = _parse_genus_field(args.genus, allow_range=False)
     by_rec = relations_by_recursion(genus)
     by_def = relations_by_definition(genus)
-    agree = by_rec.agrees_with(by_def)
+    agree = by_rec == by_def
     inits = initial_terms(by_rec)
     payload = {
         "genus": genus,
@@ -134,7 +148,7 @@ def _cmd_groebner(args) -> int:
     lead = sorted(initial_ideal_minimal_generators(gb), key=Monomial.sort_key)
     payload = {
         "genus": genus,
-        "order_tag": gb.order_tag,
+        "order_tag": ORDER_TAG,
         "elements": [str(p) for p in gb.elements],
         "initial_ideal": [str(m) for m in lead],
     }
@@ -332,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chern", help="graded Chern class components")
     common(p, cache=False)
     p.add_argument("--target", choices=("q", "ng"), default="q")
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-weight", type=integer, default=None)
     p.set_defaults(func=_cmd_chern)
 
     p = sub.add_parser("betti", help="even Betti numbers with cross-check")
     common(p, cache=False)
-    p.add_argument("--s-max", type=int, default=None)
+    p.add_argument("--s-max", type=integer, default=None)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("verify", help="run every check over a genus range")

@@ -54,6 +54,7 @@ __all__ = [
     "ideal_equal",
 ]
 
+# the monomial order, as the cache files and `groebner --format json` name it
 ORDER_TAG = "grevlex-abc"
 
 # reducer entry: (leading monomial, leading coefficient, tail terms)
@@ -185,7 +186,6 @@ class GroebnerBasis:
 
     elements: Tuple[Polynomial, ...]
     genus: Optional[int] = None
-    order_tag: str = ORDER_TAG
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(p.leading_monomial() for p in self.elements)
@@ -403,58 +403,27 @@ def hilbert_series(gb: GroebnerBasis) -> Tuple[int, ...]:
     return standard_monomials(gb).counts_by_weight()
 
 
-def _poly_mul_z(p: List[int], q: List[int]) -> List[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_div_exact_z(num: List[int], den: List[int]) -> List[int]:
-    """Long division of integer polynomials; the remainder must vanish."""
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - d)
-    for i in range(len(num) - 1, d - 1, -1):
-        coeff = num[i]
-        if coeff % lead:
-            raise ArithmeticError("inexact polynomial division")
-        q = coeff // lead
-        out[i - d] = q
-        if q:
-            for j, y in enumerate(den):
-                num[i - d + j] -= q * y
-    if any(num[:d]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 def complete_intersection_hilbert(genus: int) -> Tuple[int, ...]:
     """Expansion of (1-t^g)(1-t^(g+1))(1-t^(g+2)) / ((1-t)(1-t^2)(1-t^3)).
 
     This is the Hilbert series a quotient by a regular sequence of weighted
     degrees g, g+1, g+2 must have; it is the independent closed-form check
-    against the monomial count of `hilbert_series`.
+    against the monomial count of `hilbert_series`.  Each factor of the
+    numerator is a running difference, each of the denominator a running
+    sum, and the quotient must vanish above weight 3g-3.
     """
     if genus < 1:
         raise ValueError("genus must be at least 1")
-
-    def one_minus(power: int) -> List[int]:
-        coeffs = [0] * (power + 1)
-        coeffs[0] = 1
-        coeffs[power] = -1
-        return coeffs
-
-    num = [1]
+    coeffs = [1] + [0] * (3 * genus + 3)
     for d in (genus, genus + 1, genus + 2):
-        num = _poly_mul_z(num, one_minus(d))
-    den = [1]
+        for i in range(len(coeffs) - 1, d - 1, -1):
+            coeffs[i] -= coeffs[i - d]
     for d in (1, 2, 3):
-        den = _poly_mul_z(den, one_minus(d))
-    return tuple(_poly_div_exact_z(num, den))
+        for i in range(d, len(coeffs)):
+            coeffs[i] += coeffs[i - d]
+    if any(coeffs[3 * genus - 2 :]):
+        raise ArithmeticError("inexact division by (1-t)(1-t^2)(1-t^3)")
+    return tuple(coeffs[: 3 * genus - 2])
 
 
 def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:

@@ -10,9 +10,10 @@ g, g+1, g+2, monic in their leading monomials a^g, a^(g-1) b, a^(g-1) c.
 
 from the base triple (alpha, beta, gamma).  `relations_by_definition`
 extracts the same polynomials from Taylor derivatives of the generating
-series.  The two constructions agree term for term, which the test-suite
-uses as a double-entry check against transcription slips in either
-formula.
+series.  The two constructions agree term for term, which `verify` and the
+test-suite compare with `==` as a double-entry check against transcription
+slips in either formula.  `iter_recursion_triples` yields the whole sequence
+from genus 1, one recursion step per genus, for callers that need many.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .ring import ALPHA, BETA, GAMMA, Monomial, Polynomial
 from .series import PowerSeries, generating_series, taylor_derivative
 
 __all__ = [
-    "BY_RECURSION",
-    "BY_DEFINITION",
     "RelationTriple",
     "relations_by_recursion",
     "relations_by_definition",
@@ -34,33 +33,20 @@ __all__ = [
     "initial_terms",
 ]
 
-BY_RECURSION = "by_recursion"
-BY_DEFINITION = "by_definition"
-
-
 @dataclass(frozen=True)
 class RelationTriple:
-    """The three relation generators for one genus, tagged by origin."""
+    """The three relation generators for one genus, by either construction."""
 
     genus: int
     f1: Polynomial
     f2: Polynomial
     f3: Polynomial
-    construction: str
 
     def polynomials(self) -> Tuple[Polynomial, Polynomial, Polynomial]:
         return (self.f1, self.f2, self.f3)
 
     def weighted_degrees(self) -> Tuple[Optional[int], Optional[int], Optional[int]]:
         return tuple(p.weighted_degree() for p in self.polynomials())
-
-    def agrees_with(self, other: "RelationTriple") -> bool:
-        return (
-            self.genus == other.genus
-            and self.f1 == other.f1
-            and self.f2 == other.f2
-            and self.f3 == other.f3
-        )
 
 
 def iter_recursion_triples(max_genus: int) -> Iterator[RelationTriple]:
@@ -69,7 +55,7 @@ def iter_recursion_triples(max_genus: int) -> Iterator[RelationTriple]:
         raise ValueError("genus must be at least 1")
     f1, f2, f3 = ALPHA, BETA, GAMMA
     for g in range(1, max_genus + 1):
-        yield RelationTriple(g, f1, f2, f3, BY_RECURSION)
+        yield RelationTriple(g, f1, f2, f3)
         f1, f2, f3 = (
             ALPHA * f1 + g * g * f2,
             BETA * f1 + Fraction(2 * g, g + 1) * f3,
@@ -113,7 +99,7 @@ def relations_by_definition(
     f1 = d0
     f2 = (d1 - ALPHA * d0) / (genus * genus)
     f3 = (d2 - ALPHA * d1 - (genus + 1) ** 2 * BETA * d0) / (2 * genus * (genus + 1))
-    return RelationTriple(genus, f1, f2, f3, BY_DEFINITION)
+    return RelationTriple(genus, f1, f2, f3)
 
 
 def initial_terms(triple: RelationTriple) -> Tuple[Monomial, Monomial, Monomial]:

@@ -4,8 +4,6 @@ from math import comb
 import pytest
 
 from newstead.betti import (
-    ENUMERATION,
-    RECURSION,
     betti_cross_check,
     default_s_max,
     enumerate_generator_counts,
@@ -44,7 +42,6 @@ class TestRecursion:
             table = newstead_betti(genus)
             assert table.values[0] == 1
             assert table.values[1] == 1
-            assert table.source == RECURSION
 
     def test_genus_two_table(self):
         # the genus-2 moduli space is an intersection of two quadrics with
@@ -94,7 +91,6 @@ class TestEnumeration:
 
     def test_table_source(self):
         table = enumeration_table(3)
-        assert table.source == ENUMERATION
         assert table.values == (1, 1, 2, 16, 2)
 
     def test_genus_validation(self):

@@ -30,6 +30,7 @@ from newstead.cli import (
     save_cached_basis,
 )
 from newstead.groebner import (
+    ORDER_TAG,
     GroebnerBasis,
     expected_initial_ideal,
     normal_form,
@@ -254,7 +255,7 @@ class TestExitCodes:
 
         def fake(max_weight):
             asked.append(max_weight)
-            return GradedClass("fake", (Polynomial.constant(1),))
+            return GradedClass((Polynomial.constant(1),))
 
         monkeypatch.setattr(newstead.cli, "quotient_chern", fake)
         code, _, _ = run_cli(capsys, "chern", "-g", "3", "--max-weight", str(MAX_WEIGHT))
@@ -278,6 +279,20 @@ class TestExitCodes:
         assert json.loads(out)["values"] == [[0, 1], [1, 1], [2, 2], [3, 16], [4, 2]][
             : s_max + 1
         ]
+
+    # int() alone reads fullwidth digits, '_' and '+'
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hilbert", "-g", "\uff13"),
+            ("hilbert", "-g", "1_0"),
+            ("verify", "-g", "1..+2"),
+            ("chern", "-g", "2", "--max-weight", "\uff13"),
+        ],
+    )
+    def test_non_ascii_integer_argument_is_usage(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
 
     @pytest.mark.parametrize(
         "verb, flag, text",
@@ -370,7 +385,7 @@ class TestVerify:
         assert out == (GOLDEN / "verify_1_4.json").read_text(encoding="utf-8")
 
     def test_betti_monotone_can_fail(self, capsys, monkeypatch):
-        table = BettiTable(genus=3, values=(1, 2, 1, 16, 2), source="recursion")
+        table = BettiTable(genus=3, values=(1, 2, 1, 16, 2))
         monkeypatch.setattr(newstead.verify, "newstead_betti", lambda g: table)
         code, out, _ = run_cli(capsys, "verify", "-g", "3")
         assert code == EXIT_CHECK_FAILED
@@ -421,7 +436,7 @@ class TestVerify:
             graded = honest(max_weight)
             components = list(graded.components)
             components[1] = 2 * components[1]
-            return GradedClass(graded.label, tuple(components))
+            return GradedClass(tuple(components))
 
         monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
         checks, all_ok = newstead.verify.run_verify(2, 3)
@@ -479,13 +494,30 @@ class TestVerify:
             graded = honest(max_weight)
             components = list(graded.components)
             components[-1] = components[-1] + ALPHA**max_weight
-            return GradedClass(graded.label, tuple(components))
+            return GradedClass(tuple(components))
 
         monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
         checks, all_ok = newstead.verify.run_verify(1, 5)
         assert not all_ok
         for g in range(1, 6):
             assert (f"g={g}", "chern-relations", g <= 2, "") in checks
+
+    def test_gamma_inclusion_can_fail(self, monkeypatch):
+        # a f1 = f1' - g^2 f2 by the recursion, and f2 (lead a^(g-1) b) is no
+        # multiple of f1' (lead a^(g+1)), the only generator of weight g+1
+        monkeypatch.setattr(newstead.verify, "GAMMA", ALPHA)
+        checks, all_ok = newstead.verify.run_verify(1, 5)
+        assert not all_ok
+        failed = [(scope, name) for scope, name, ok, _ in checks if not ok]
+        assert failed == [(f"g={g}->g={g + 1}", "gamma-inclusion") for g in range(1, 5)]
+
+    def test_range_starts_mid_walk(self):
+        dropped = {"g=1", "g=2", "g=1->g=2", "g=2->g=3"}
+        checks, all_ok = newstead.verify.run_verify(1, 5)
+        assert all_ok
+        assert newstead.verify.run_verify(3, 5) == (
+            [check for check in checks if check[0] not in dropped], True
+        )
 
     @pytest.mark.parametrize("socle", [True, False])
     def test_tangent_vanishing_can_fail(self, monkeypatch, socle):
@@ -498,7 +530,7 @@ class TestVerify:
             graded = honest(genus, max_weight)
             components = list(graded.components)
             components[m.weight] = components[m.weight] + Polynomial({m: 1})
-            return GradedClass(graded.label, tuple(components))
+            return GradedClass(tuple(components))
 
         monkeypatch.setattr(newstead.chern, "tangent_chern", tampered)
         checks, all_ok = newstead.verify.run_verify(2, 5)
@@ -510,13 +542,13 @@ class TestVerify:
 class TestCache:
     def test_round_trip_bit_exact(self, tmp_path):
         gb = relation_ideal_basis(3)
-        save_cached_basis(tmp_path, gb)
-        assert (tmp_path / "ideal_g3.json").exists()
+        path = save_cached_basis(tmp_path, gb)
+        assert path == tmp_path / "ideal_g3.json"
+        assert json.loads(path.read_text(encoding="utf-8"))["order_tag"] == ORDER_TAG
         loaded = load_cached_basis(tmp_path, 3)
         assert loaded is not None
         assert loaded.elements == gb.elements
         assert loaded.genus == 3
-        assert loaded.order_tag == gb.order_tag
 
     def test_missing_file(self, tmp_path):
         assert load_cached_basis(tmp_path, 4) is None

@@ -322,7 +322,7 @@ class TestReducerCache:
         assert gb == twin and repr(gb) == repr(twin)
         assert gb != GroebnerBasis(gb.elements)
         names = [f.name for f in dataclasses.fields(gb)]
-        assert names == ["elements", "genus", "order_tag"]
+        assert names == ["elements", "genus"]
 
     def test_sequence_and_basis_agree(self, gb3):
         p = (ALPHA + 2 * BETA - GAMMA) ** 3
@@ -517,6 +517,39 @@ class TestHilbert:
         assert len(h) == 3 * genus - 2
         assert h[0] == 1 and h[-1] == 1
         assert sum(h) == comb(genus + 2, 3)
+
+    @pytest.mark.parametrize("genus", range(1, 61))
+    def test_closed_form_equals_long_division(self, genus):
+        assert complete_intersection_hilbert(genus) == long_division_hilbert(genus)
+
+
+def long_division_hilbert(genus):
+    """The closed form by integer polynomial products and long division."""
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def one_minus(d):
+        return [1] + [0] * (d - 1) + [-1]
+
+    num = den = [1]
+    for d in (genus, genus + 1, genus + 2):
+        num = times(num, one_minus(d))
+    for d in (1, 2, 3):
+        den = times(den, one_minus(d))
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        q, r = divmod(num[i + len(den) - 1], den[-1])
+        assert r == 0
+        out[i] = q
+        for j, y in enumerate(den):
+            num[i + j] -= q * y
+    assert not any(num)
+    return tuple(out)
 
 
 class TestPairing:

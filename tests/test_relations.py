@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 
 from newstead.relations import (
-    BY_DEFINITION,
-    BY_RECURSION,
     initial_terms,
     iter_recursion_triples,
     relations_by_definition,
@@ -46,13 +44,12 @@ class TestRecursion:
     def test_frozen_values(self, genus):
         triple = relations_by_recursion(genus)
         assert triple.polynomials() == EXPECTED[genus]
-        assert triple.construction == BY_RECURSION
         assert triple.genus == genus
 
     def test_iterator_matches_single(self):
         triples = list(iter_recursion_triples(5))
         assert [t.genus for t in triples] == [1, 2, 3, 4, 5]
-        assert triples[3].agrees_with(relations_by_recursion(4))
+        assert triples[3] == relations_by_recursion(4)
 
     def test_genus_validation(self):
         with pytest.raises(ValueError):
@@ -64,7 +61,6 @@ class TestDefinition:
     def test_frozen_values(self, genus):
         triple = relations_by_definition(genus)
         assert triple.polynomials() == EXPECTED[genus]
-        assert triple.construction == BY_DEFINITION
 
     def test_insufficient_series_order_rejected(self):
         short = generating_series(3)
@@ -78,17 +74,13 @@ class TestDefinition:
     def test_shared_series_reused(self):
         phi = generating_series(10)
         for genus in range(1, 9):
-            assert relations_by_definition(genus, phi).agrees_with(
-                relations_by_recursion(genus)
-            )
+            assert relations_by_definition(genus, phi) == relations_by_recursion(genus)
 
 
 class TestStructure:
     @pytest.mark.parametrize("genus", range(1, 9))
     def test_dual_paths_agree(self, genus):
-        assert relations_by_recursion(genus).agrees_with(
-            relations_by_definition(genus)
-        )
+        assert relations_by_recursion(genus) == relations_by_definition(genus)
 
     @pytest.mark.parametrize("genus", range(1, 13))
     def test_initial_terms_pattern(self, genus):
@@ -126,7 +118,7 @@ class TestStructure:
         for p in relations_by_recursion(genus).polynomials():
             assert p.is_weighted_homogeneous()
 
-    def test_agrees_with_includes_genus(self):
+    def test_equality_includes_genus(self):
         t1 = relations_by_recursion(2)
         t3 = relations_by_recursion(3)
-        assert not t1.agrees_with(t3)
+        assert t1 != t3
