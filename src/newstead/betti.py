@@ -64,10 +64,10 @@ def newstead_betti(genus: int, s_max: Optional[int] = None) -> BettiTable:
         raise ValueError("s_max must be non-negative")
     values = [1, 1][: s_max + 1]
     for s in range(2, s_max + 1):
-        new = 0
-        for l in range(max(0, s - genus + 1), s // 3 + 1):
-            if 2 * l <= 2 * genus:
-                new += comb(2 * genus, 2 * l)
+        # l <= s/3 and s-g+1 <= l force l < g, so C(2g, 2l) is never 0 here
+        new = sum(
+            comb(2 * genus, 2 * l) for l in range(max(0, s - genus + 1), s // 3 + 1)
+        )
         values.append(values[s - 2] + new)
     return BettiTable(genus, tuple(values))
 

@@ -102,7 +102,9 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
     path = cache_path(cache_dir, genus)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):  # also a number past the int digit limit
+    # ValueError also covers a number past the int digit limit, and deep
+    # nesting raises RecursionError
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(payload, dict) or (
         payload.get("version"), payload.get("genus"), payload.get("order_tag")

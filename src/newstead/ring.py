@@ -280,7 +280,10 @@ class Polynomial:
         """Terms in descending monomial order."""
         return tuple((m, self._terms[m]) for m in sorted(self._terms, reverse=True))
 
-    def __str__(self) -> str:
+    def _render(self, monomial, scalar, times: str) -> str:
+        """Signed terms in descending order.  `scalar` renders a positive
+        coefficient, `monomial` a non-constant monomial, and `times` joins
+        the two when the coefficient is not 1."""
         if not self._terms:
             return "0"
         chunks = []
@@ -288,16 +291,19 @@ class Polynomial:
             q = self._terms[m]
             mag = -q if q < 0 else q
             if m.degree == 0:
-                body = str(mag)
+                body = scalar(mag)
             elif mag == 1:
-                body = str(m)
+                body = monomial(m)
             else:
-                body = f"{mag}*{m}"
+                body = scalar(mag) + times + monomial(m)
             if not chunks:
                 chunks.append(body if q > 0 else "-" + body)
             else:
                 chunks.append((" + " if q > 0 else " - ") + body)
         return "".join(chunks)
+
+    def __str__(self) -> str:
+        return self._render(str, str, "*")
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -12,7 +12,10 @@ Grammar (whitespace is insignificant):
 
 `ring.Polynomial.__str__` emits exactly this grammar, with the short
 variable spellings and terms in descending monomial order, so
-``parse_poly(str(p)) == p`` for every polynomial p.
+``parse_poly(str(p)) == p`` for every polynomial p.  `parse_poly` reads
+the grammar in one loop over the token list, and `to_latex` renders the
+same sign and term layout through `Polynomial._render`, with Greek letters
+and ``\\frac`` coefficients.
 """
 
 from __future__ import annotations
@@ -84,122 +87,65 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_int(self, what: str) -> int:
-        kind, value, pos = self.peek()
-        if kind != "int":
-            raise ParseError(f"unexpected {_describe(kind, value)}", pos, expected=what)
-        self.take()
-        return value  # type: ignore[return-value]
-
-
-def _describe(kind, value) -> str:
-    if kind == "end":
-        return "end of input"
-    return f"token {value!r}"
-
-
 def parse_poly(text: str) -> Polynomial:
     """Parse a polynomial expression; raises ParseError on bad input."""
-    parser = _Parser(_tokenize(text))
-    kind, _, pos = parser.peek()
-    if kind == "end":
-        raise ParseError("empty input", pos, expected="a term")
+    tokens = _tokenize(text)
+    i = 0
 
-    accumulated: dict = {}
-    first = True
+    def at(kind: str, ops: str = "") -> bool:
+        k, value, _ = tokens[i]
+        return k == kind and (not ops or value in ops)
+
+    def take(expected: Optional[str], kind: str, ops: str = ""):
+        nonlocal i
+        k, value, pos = tokens[i]
+        if not at(kind, ops):
+            what = "end of input" if k == "end" else f"token {value!r}"
+            raise ParseError(f"unexpected {what}", pos, expected)
+        i += 1
+        return value
+
+    if at("end"):
+        raise ParseError("empty input", tokens[0][2], expected="a term")
+    terms: dict = {}
+    sign = take(None, "op") if at("op", "+-") else "+"
     while True:
-        sign = 1
-        kind, value, pos = parser.peek()
-        if kind == "op" and value in "+-":
-            parser.take()
-            sign = -1 if value == "-" else 1
-        elif not first:
-            raise ParseError(
-                f"unexpected {_describe(kind, value)}", pos, expected="'+' or '-'"
-            )
-        coeff, mono = _parse_term(parser)
-        coeff *= sign
-        prev = accumulated.get(mono, Fraction(0))
-        total = prev + coeff
+        coeff = Fraction(1)
+        more = at("name")  # a term without coefficient starts with a factor
+        if not more:
+            numerator = take("a coefficient or variable", "int")
+            denominator = 1
+            if at("op", "/"):
+                i += 1
+                dpos = tokens[i][2]
+                denominator = take("a denominator", "int")
+                if denominator == 0:
+                    raise ParseError("zero denominator", dpos)
+            coeff = Fraction(numerator, denominator)
+            more = at("op", "*")
+            i += more  # step over the "*"
+        exponents = [0, 0, 0]
+        while more:
+            pos = tokens[i][2]
+            name = take(_VAR_HINT, "name")
+            if name not in _VARS:
+                raise ParseError(f"unknown variable {name!r}", pos, expected=_VAR_HINT)
+            exponent = 1
+            if at("op", "^"):
+                i += 1
+                exponent = take("an exponent", "int")
+            exponents[_VARS[name]] += exponent
+            more = at("op", "*")
+            i += more
+        mono = Monomial(*exponents)
+        total = terms.get(mono, 0) + (coeff if sign == "+" else -coeff)
         if total:
-            accumulated[mono] = total
+            terms[mono] = total
         else:
-            accumulated.pop(mono, None)
-        first = False
-        kind, value, pos = parser.peek()
-        if kind == "end":
-            break
-        if not (kind == "op" and value in "+-"):
-            raise ParseError(
-                f"unexpected {_describe(kind, value)}", pos, expected="'+' or '-'"
-            )
-    return Polynomial(accumulated)
-
-
-def _parse_term(p: _Parser) -> Tuple[Fraction, Monomial]:
-    kind, value, pos = p.peek()
-    coeff = Fraction(1)
-    exponents = [0, 0, 0]
-    if kind == "int":
-        p.take()
-        numerator = value
-        denominator = 1
-        kind, value, pos = p.peek()
-        if kind == "op" and value == "/":
-            p.take()
-            _, _, dpos = p.peek()
-            denominator = p.expect_int("a denominator")
-            if denominator == 0:
-                raise ParseError("zero denominator", dpos)
-        coeff = Fraction(numerator, denominator)
-        kind, value, pos = p.peek()
-        if kind == "op" and value == "*":
-            p.take()
-            _parse_factors(p, exponents)
-    elif kind == "name":
-        _parse_factors(p, exponents)
-    else:
-        raise ParseError(
-            f"unexpected {_describe(kind, value)}", pos, expected="a coefficient or variable"
-        )
-    return coeff, Monomial(*exponents)
-
-
-def _parse_factors(p: _Parser, exponents: List[int]) -> None:
-    while True:
-        kind, value, pos = p.peek()
-        if kind != "name":
-            raise ParseError(
-                f"unexpected {_describe(kind, value)}", pos, expected=_VAR_HINT
-            )
-        if value not in _VARS:
-            raise ParseError(f"unknown variable {value!r}", pos, expected=_VAR_HINT)
-        p.take()
-        index = _VARS[value]
-        exponent = 1
-        kind, value, _ = p.peek()
-        if kind == "op" and value == "^":
-            p.take()
-            exponent = p.expect_int("an exponent")
-        exponents[index] += exponent
-        kind, value, _ = p.peek()
-        if kind == "op" and value == "*":
-            p.take()
-            continue
-        return
+            terms.pop(mono, None)
+        if at("end"):
+            return Polynomial._raw(terms)
+        sign = take("'+' or '-'", "op", "+-")
 
 
 _LATEX_NAMES = ("\\alpha", "\\beta", "\\gamma")
@@ -223,19 +169,4 @@ def _latex_fraction(q: Fraction) -> str:
 
 def to_latex(p: Polynomial) -> str:
     """Render a polynomial with Greek letters and superscript exponents."""
-    if not p:
-        return "0"
-    chunks = []
-    for m, q in p.sorted_terms():
-        mag = -q if q < 0 else q
-        if m.degree == 0:
-            body = _latex_fraction(mag)
-        elif mag == 1:
-            body = _latex_monomial(m)
-        else:
-            body = _latex_fraction(mag) + _latex_monomial(m)
-        if not chunks:
-            chunks.append(body if q > 0 else "-" + body)
-        else:
-            chunks.append((" + " if q > 0 else " - ") + body)
-    return "".join(chunks)
+    return p._render(_latex_monomial, _latex_fraction, "")

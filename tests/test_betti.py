@@ -51,6 +51,12 @@ class TestRecursion:
     def test_genus_three_table(self):
         assert newstead_betti(3).values == (1, 1, 2, 16, 2)
 
+    def test_genus_three_beyond_default_range(self):
+        # past s_max = 4 the window s-g+1 <= l <= s/3 keeps l below g
+        assert newstead_betti(3, 12).values == (
+            1, 1, 2, 16, 2, 16, 2, 16, 2, 16, 2, 16, 2
+        )
+
     def test_default_range(self):
         assert default_s_max(2) == 2
         assert default_s_max(3) == 4

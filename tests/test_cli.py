@@ -632,6 +632,17 @@ class TestCache:
         assert (code, out.strip()) == (EXIT_OK, "1 1 1 1")
         assert load_cached_basis(tmp_path, 2) is not None  # rewritten
 
+    @pytest.mark.parametrize("verb", [("groebner", "-g", "3"), ("verify", "-g", "3..3")])
+    def test_deeply_nested_json_recomputed(self, tmp_path, capsys, verb):
+        # json.loads raises RecursionError, not ValueError, on deep nesting
+        code, fresh, _ = run_cli(capsys, *verb)
+        path = newstead.cache.cache_path(tmp_path, 3)
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        assert load_cached_basis(tmp_path, 3) is None
+        assert run_cli(capsys, *verb, "--cache-dir", str(tmp_path)) == (code, fresh, "")
+        assert code == EXIT_OK
+        assert load_cached_basis(tmp_path, 3) is not None  # rewritten
+
     def _poison(self, tmp_path, genus, elements):
         path = save_cached_basis(tmp_path, relation_ideal_basis(genus))
         payload = json.loads(path.read_text(encoding="utf-8"))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from newstead.ring import ALPHA, BETA, GAMMA, Monomial, Polynomial
 from newstead.textform import ParseError, parse_poly, to_latex
@@ -13,6 +13,14 @@ coefficients = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**6
 ).filter(bool)
 polynomials = st.dictionaries(monomials, coefficients, max_size=8).map(Polynomial)
+
+VARS = "one of a, b, c, alpha, beta, gamma"
+# grammar characters, names, and characters the tokenizer must reject:
+# a superscript and an Arabic-Indic digit (str.isdigit holds for both), a
+# non-ASCII letter, and symbols outside the grammar
+PARSER_ALPHABET = list("abcx+-*/^0123 \t$\x00_.") + [
+    "alpha", "beta", "gamma", "12", "\u00b2", "\u00e9", "\u0662"
+]
 
 
 class TestParse:
@@ -103,6 +111,66 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_poly("")
         assert err.value.expected == "a term"
+
+    @pytest.mark.parametrize(
+        "text, message, position, expected",
+        [
+            ("", "empty input at position 0 (expected a term)", 0, "a term"),
+            ("   ", "empty input at position 3 (expected a term)", 3, "a term"),
+            ("a + $", "unexpected character '$' at position 4", 4, None),
+            ("a^\u00b2", "unexpected character '\u00b2' at position 2", 2, None),
+            ("a b", "unexpected token 'b' at position 2 (expected '+' or '-')",
+             2, "'+' or '-'"),
+            ("2 a", "unexpected token 'a' at position 2 (expected '+' or '-')",
+             2, "'+' or '-'"),
+            ("a +", "unexpected end of input at position 3"
+             " (expected a coefficient or variable)", 3, "a coefficient or variable"),
+            ("1/", "unexpected end of input at position 2 (expected a denominator)",
+             2, "a denominator"),
+            ("1/a", "unexpected token 'a' at position 2 (expected a denominator)",
+             2, "a denominator"),
+            ("1/0", "zero denominator at position 2", 2, None),
+            ("a^", "unexpected end of input at position 2 (expected an exponent)",
+             2, "an exponent"),
+            ("a^-1", "unexpected token '-' at position 2 (expected an exponent)",
+             2, "an exponent"),
+            ("2*", f"unexpected end of input at position 2 (expected {VARS})",
+             2, VARS),
+            ("2*3", f"unexpected token 3 at position 2 (expected {VARS})", 2, VARS),
+            ("x", f"unknown variable 'x' at position 0 (expected {VARS})", 0, VARS),
+            ("\u00e9", f"unknown variable '\u00e9' at position 0 (expected {VARS})",
+             0, VARS),
+            ("*a", "unexpected token '*' at position 0"
+             " (expected a coefficient or variable)", 0, "a coefficient or variable"),
+            ("+-a", "unexpected token '-' at position 1"
+             " (expected a coefficient or variable)", 1, "a coefficient or variable"),
+            ("a*", f"unexpected end of input at position 2 (expected {VARS})",
+             2, VARS),
+            ("a^2^3", "unexpected token '^' at position 3 (expected '+' or '-')",
+             3, "'+' or '-'"),
+            ("1/2/3", "unexpected token '/' at position 3 (expected '+' or '-')",
+             3, "'+' or '-'"),
+            ("a2", "unexpected token 2 at position 1 (expected '+' or '-')",
+             1, "'+' or '-'"),
+            ("alphabeta",
+             f"unknown variable 'alphabeta' at position 0 (expected {VARS})", 0, VARS),
+        ],
+    )
+    def test_every_error_path(self, text, message, position, expected):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (str(err.value), err.value.position, err.value.expected) == (
+            message, position, expected
+        )
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(PARSER_ALPHABET), max_size=30).map("".join))
+    def test_raises_nothing_but_parse_error(self, text):
+        try:
+            result = parse_poly(text)
+        except ParseError:
+            return
+        assert isinstance(result, Polynomial)
 
 
 class TestRoundTrip:
