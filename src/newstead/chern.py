@@ -128,9 +128,12 @@ def chern_matches_series(genus: int, series: PowerSeries) -> bool:
 def chern_relations_check(triple: RelationTriple, gb: GroebnerBasis) -> bool:
     """c_g, c_{g+1}, c_{g+2} of the quotient bundle generate the ideal.
 
-    Ideal equality with the genus-g `triple`: `ideal_equal` proves it by an
-    exact triangular identity, or else reduces each class modulo `gb` (the
-    membership direction) and the triple modulo a basis of the classes.
+    Ideal equality with the genus-g `triple`.  Both lists have weights
+    g, g+1, g+2, so `ideal_equal` decides it weight by weight without a
+    basis: each class must lie in the span of the multiples m*f of the
+    relations that have its weight, and each relation in the span of the
+    classes' multiples of its weight, which holds iff the ideals are equal.
+    `gb` serves only the basis route, for lists outside that shape.
     """
     g = triple.genus
     graded = quotient_chern(g + 2)

@@ -66,6 +66,13 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def _cache_dir(text: str) -> str:
+    """A `--cache-dir` value; an empty path would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _parse_genus_field(text: str, allow_range: bool) -> Tuple[int, int]:
     if ".." in text:
         if not allow_range:
@@ -315,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "json", "latex"), default="text"
         )
         if cache:
-            p.add_argument("--cache-dir", default=None, help="Groebner basis cache")
+            p.add_argument(
+                "--cache-dir", type=_cache_dir, default=None, help="Groebner basis cache"
+            )
 
     p = sub.add_parser("relations", help="relation triple, both constructions")
     common(p, cache=False)

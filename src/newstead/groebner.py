@@ -18,11 +18,12 @@ monomial the divisions pass through is reduced once per basis, not once per
 query, and `standard_monomials` reads the quotient basis off the staircase
 of the leads instead of testing each monomial against each lead.
 
-`ideal_equal` needs no basis when the two generator lists have the same
-weighted degrees, each once: it looks for a triangular transition identity
-h_i = c_i f_i + sum_{j<i} q_ij f_j with nonzero constants c_i, proposed by
-sparse elimination and checked exactly, which proves both inclusions.
-Only when there is none does it reduce each side modulo the other's basis.
+`ideal_equal` needs no basis when the two generator lists are weighted
+homogeneous with the same weights, each once.  It decides equality weight
+by weight: ideals with homogeneous generators are equal iff each generator
+of one lies in the other's part of its weight, a finite span that the same
+division kernel reduces by Gaussian elimination.  Other lists are reduced
+modulo each other's basis.
 """
 
 from __future__ import annotations
@@ -490,109 +491,21 @@ def _monomials_of_weight(weight: int) -> List[Monomial]:
     ]
 
 
-def _by_weighted_degree(polys: List[Polynomial]):
-    """(weighted degree, polynomial) pairs sorted by degree, or None when a
-    polynomial is not weighted homogeneous."""
-    pairs = [(p.weighted_degree(), p) for p in polys]
-    if any(d is None for d, _ in pairs):
-        return None
-    return sorted(pairs, key=lambda pair: pair[0])
-
-
-def _axpy(dst: Dict, factor: Fraction, src: Dict) -> None:
-    """dst += factor * src, on sparse coefficient dicts."""
-    for key, v in src.items():
-        value = dst.get(key, 0) + factor * v
-        if value:
-            dst[key] = value
-        else:
-            dst.pop(key, None)
-
-
-def _combination(
-    columns: List[Polynomial], target: Polynomial
-) -> Optional[List[Fraction]]:
-    """Coefficients x proposing target = sum_k x_k columns[k], or None when
-    the last column lies in the span of the others, so that its coefficient
-    is not determined.
-
-    Sparse Gauss-Jordan elimination over the monomials: each pivot vector
-    has coefficient 1 at its pivot, no other pivot monomial, and carries the
-    combination of columns it equals.  The part of the target no pivot
-    reaches is dropped, so the proposal is only a candidate.
-    """
-    pivots: Dict[Monomial, Tuple[Dict, Dict]] = {}
-
-    def reduce(vec: Dict, combo: Dict) -> None:
-        for m in [m for m in vec if m in pivots]:
-            factor = -vec[m]
-            _axpy(vec, factor, pivots[m][0])
-            _axpy(combo, factor, pivots[m][1])
-
-    for k, column in enumerate(columns):
-        vec, combo = dict(column.terms), {k: Fraction(1)}
-        reduce(vec, combo)
-        if not vec:
-            if k == len(columns) - 1:
-                return None
-            continue
-        pivot = max(vec)
-        scale = 1 / vec[pivot]
-        vec = {m: v * scale for m, v in vec.items()}
-        combo = {j: v * scale for j, v in combo.items()}
-        for other_vec, other_combo in pivots.values():
-            if pivot in other_vec:
-                factor = -other_vec[pivot]
-                _axpy(other_vec, factor, vec)
-                _axpy(other_combo, factor, combo)
-        pivots[pivot] = (vec, combo)
-    combo = {}
-    reduce(dict(target.terms), combo)
-    return [-combo.get(k, Fraction(0)) for k in range(len(columns))]
-
-
-def _triangular_certificate(
-    gens1: List[Polynomial], gens2: List[Polynomial]
-) -> bool:
-    """Prove (gens1) = (gens2) by an exact triangular identity.
-
-    With f = gens1 and h = gens2 each sorted by weighted degree
-    d_1 < d_2 < ..., the identity is h_i = c_i f_i + sum_{j<i} q_ij f_j,
-    where q_ij is weighted homogeneous of weight d_i - d_j and c_i is a
-    nonzero constant.  It puts every h_i in (f); and by induction on i,
-    f_i = (h_i - sum_{j<i} q_ij f_j) / c_i lies in (h).  This is graded
-    Nakayama in triangular form (Eisenbud, Commutative Algebra, section 4.1).
-
-    The unknowns are proposed by `_combination` over the columns m*f_j (m
-    running over the monomials of weight d_i - d_j) and f_i, then the
-    identity is recomputed with polynomial arithmetic and compared exactly.
-    False when the lists differ in length (checked before any term is
-    read), a generator is not weighted homogeneous, the degree sequences
-    differ or repeat, or no identity with every c_i determined and nonzero
-    is found; False then says nothing about the ideals.
-    """
-    if len(gens1) != len(gens2):
-        return False
-    f, h = _by_weighted_degree(gens1), _by_weighted_degree(gens2)
-    if f is None or h is None:
-        return False
-    degrees = [d for d, _ in f]
-    if degrees != [d for d, _ in h] or len(set(degrees)) < len(degrees):
-        return False
-    for i, (d, target) in enumerate(h):
-        columns = [
-            _mono_scale(fj, m, 1)
-            for dj, fj in f[:i]
-            for m in _monomials_of_weight(d - dj)
-        ]
-        columns.append(f[i][1])
-        x = _combination(columns, target)
-        if x is None or not x[-1]:
-            return False
-        identity = sum((column * xk for column, xk in zip(columns, x)), Polynomial())
-        if identity != target:
-            return False
-    return True
+def _weight_part(gens: List[Polynomial], weight: int) -> List[_Reducer]:
+    """Echelon reducers spanning the weight-`weight` part of the ideal of
+    the weighted homogeneous `gens`: the span of m*f over the generators f
+    and the monomials m of weight `weight` minus that of f.  All vectors
+    have that weight, so a lead divides a monomial only when the two are
+    equal, and `_reduce_terms` is Gaussian elimination against them.  A
+    generator heavier than `weight` has no monomial multiplier."""
+    reducers: List[_Reducer] = []
+    for f in gens:
+        for m in _monomials_of_weight(weight - f.weighted_degree()):
+            remainder = _reduce_terms(dict(_mono_scale(f, m, 1).terms), reducers)
+            if remainder:
+                entry = _reducer_entry(Polynomial._raw(remainder))
+                insort(reducers, entry, key=_reducer_key)
+    return reducers
 
 
 def ideal_equal(
@@ -603,23 +516,33 @@ def ideal_equal(
 ) -> bool:
     """True when the two generating sets span the same ideal.
 
-    Zero generators are dropped.  First `_triangular_certificate` looks for
-    an exact identity h_i = c_i f_i + sum_{j<i} q_ij f_j between the two
-    lists sorted by weighted degree, with every c_i a nonzero constant, and
-    builds no basis.  The identity is sound: it puts each h_i in (f), and
-    by induction on i each f_i = (h_i - sum_{j<i} q_ij f_j) / c_i lies in
-    (h).  For the relation triple against the series derivatives or the
-    quotient bundle's Chern classes it exists at every genus 1..30.
+    Zero generators are dropped.  When both lists are weighted homogeneous
+    with the same weights, each once, they are compared weight by weight
+    and no basis is built: the weight-d part of an ideal (F) with such
+    generators is the span of m*f, m a monomial of weight d minus that of
+    f, which `_weight_part` builds.  So (F) = (H) iff each generator of one
+    side lies in the other side's part of its own weight.  That decides
+    both ways, and the relation triple against the series derivatives or
+    the quotient bundle's Chern classes is such a pair at every genus.
     Otherwise (lists of different lengths, an inhomogeneous generator,
-    differing or repeated degree sequences, or no such identity) each
-    side's generators are reduced modulo the other side's basis, which
-    decides equality either way.  Precomputed bases may be supplied to
-    avoid redundant work on that route.
+    differing or repeated weights) each side's generators are reduced
+    modulo the other side's basis, which decides equality too.
+    Precomputed bases may be supplied to avoid redundant work on that
+    route.
     """
     list1 = [p for p in gens1 if p]
     list2 = [p for p in gens2 if p]
-    if _triangular_certificate(list1, list2):
-        return True
+    weights = {p.weighted_degree() for p in list1}
+    if (
+        len(weights) == len(list1) == len(list2)
+        and None not in weights
+        and weights == {p.weighted_degree() for p in list2}
+    ):
+        return not any(
+            _reduce_terms(dict(p.terms), _weight_part(other, p.weighted_degree()))
+            for side, other in ((list1, list2), (list2, list1))
+            for p in side
+        )
     gb1 = basis1 if basis1 is not None else buchberger(list1)
     gb2 = basis2 if basis2 is not None else buchberger(list2)
     return all(gb1.contains(p) for p in list2) and all(

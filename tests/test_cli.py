@@ -769,6 +769,15 @@ class TestCache:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["groebner", "verify"])
+    def test_empty_cache_dir_is_usage(self, tmp_path, monkeypatch, capsys, verb):
+        # an empty path would otherwise name the working directory
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, verb, "-g", "2", "--cache-dir", "")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--cache-dir: must not be empty" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_populates_and_reuses_cache(self, tmp_path, capsys):
         code, first, _ = run_cli(
             capsys, "groebner", "-g", "2", "--cache-dir", str(tmp_path),
