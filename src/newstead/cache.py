@@ -1,18 +1,21 @@
 """On-disk cache of reduced Groebner bases, one JSON file per genus.
 
-A loaded file is never trusted.  It must be monic and sorted strictly
-ascending by lead, its leads must be exactly the monomials of standard degree
-g and every other term must have standard degree below g; the S-polynomials
-the Gebauer-Moller update keeps (g(g+2) of them for a genus-g file) and the
-relation generators must reduce to zero.  Skipping the others is still sound:
-the update drops a pair only while its two leads stay linked, through leads
-dividing its lcm, by kept or coprime pairs of that lcm and by pairs of
-smaller lcm, so each skipped S-polynomial has an lcm-representation once the
-kept ones reduce to zero.
-An element list of any length but C(g+2, 2) is rejected before a single
-element is parsed.  The shape checks cost time linear in the file and imply
-that the set is reduced with C(g+2, 3) standard monomials.  Then it is a
-Groebner basis of an ideal I containing the genus-g ideal J with
+A loaded file is never trusted.  An element list of any length but
+C(g+2, 2) is rejected before a single element is parsed.  The elements must
+be monic and sorted strictly ascending by lead, the leads must be exactly
+the monomials of standard degree g, and every other term must have standard
+degree below g.  These shape checks take linear time, and they make the file
+a border prebasis of the order ideal O of the C(g+2, 3) monomials of degree
+below g, whose border is exactly those leads.  The border criterion then
+certifies it (Kehrein, Kreuzer and Robbiano, "An algebraist's view on border
+bases", 2005; Mourrain, 1999): the multiplication maps on O that the tails
+define must commute, one substitution per term of degree g in integers, with
+no division loop and no pair queue.  So the file is a border basis of the
+ideal I it spans, and dim Q[a,b,c]/I = |O|.  Every tail has lower degree, so
+the leads are grevlex leads; the monomials outside the ideal they generate
+are O, already dim Q[a,b,c]/I of them, so the leads generate the initial
+ideal of I and the file is its reduced Groebner basis.  Last, the relation
+generators must reduce to zero.  Then I contains the genus-g ideal J with
 dim Q[a,b,c]/I = dim Q[a,b,c]/J, so I = J, and as the reduced basis of an
 ideal is unique, the file is bit-identical to a freshly computed basis.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from math import comb
+from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +33,6 @@ from .groebner import (
     ORDER_TAG,
     GroebnerBasis,
     expected_initial_ideal,
-    is_groebner_basis,
     normal_form,
     relation_ideal_basis,
 )
@@ -97,6 +99,76 @@ def _has_genus_shape(elements: Sequence[Polynomial], genus: int) -> bool:
     )
 
 
+def _is_border_basis(elements: Sequence[Polynomial], genus: int) -> bool:
+    """The border criterion on a set of genus shape: the multiplication maps
+    that its tails define on the monomials of degree below g commute.  For t
+    of degree g-1 and variables x_k, x_l, x_l*tail(x_k*t) and x_k*tail(x_l*t)
+    must agree once each term of degree g is replaced by minus its element's
+    tail; below degree g-1 the two products agree by symmetry.
+
+    Monomials are integer keys.  A tail is scaled to integer numerators over
+    its own denominator the first time a product reads it, and a product's
+    denominator is its element's times the lcm of those it substitutes."""
+    size = genus + 1
+    shift = (size * size, size, 1)  # multiplying by a, b, c adds these keys
+    # the shape check sorted the leads ascending: c, then b descending
+    by_lead = dict(zip(
+        ((genus - b - c) * size * size + b * size + c
+         for c in range(genus, -1, -1) for b in range(genus - c, -1, -1)),
+        elements,
+    ))
+    tails, products = {}, {}
+
+    def tail(key):
+        if key not in tails:
+            terms = [(m, q) for m, q in by_lead[key].terms.items() if m.degree < genus]
+            den = lcm(*(q.denominator for _, q in terms))
+            tails[key] = den, [
+                ((m.a * size + m.b) * size + m.c,
+                 q.numerator * (den // q.denominator),
+                 m.degree == genus - 1)
+                for m, q in terms
+            ]
+        return tails[key]
+
+    def times(key, var):
+        # x_var * tail(key), terms of degree g substituted, as
+        # (denominator, {monomial key: numerator})
+        if (key, var) not in products:
+            den, terms = tail(key)
+            step = shift[var]
+            out, border = {}, []
+            for m, n, top in terms:
+                if top:
+                    border.append((tail(m + step), n))
+                else:
+                    out[m + step] = n
+            scale = lcm(*(d for (d, _), _ in border))
+            if scale != 1:
+                out = {m: n * scale for m, n in out.items()}
+            for (d, terms_q), n in border:
+                n *= scale // d
+                for m, nq, _ in terms_q:
+                    out[m] = out.get(m, 0) - n * nq
+            products[key, var] = den * scale, out
+        return products[key, var]
+
+    for a in range(genus):
+        for b in range(genus - a):
+            t = (a * size + b) * size + genus - 1 - a - b
+            for k, l in ((0, 1), (0, 2), (1, 2)):
+                dk, left = times(t + shift[k], l)
+                dl, right = times(t + shift[l], k)
+                common = gcd(dk, dl)
+                fl, fr = dl // common, dk // common
+                if any(
+                    left.get(m, 0) * fl != right.get(m, 0) * fr
+                    for m in left.keys() | right.keys()
+                ):
+                    return False
+    return True
+
+
 def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
     """Load a cached basis, or None when missing, corrupt or invalid."""
     path = cache_path(cache_dir, genus)
@@ -119,16 +191,14 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         elements = tuple(parse_poly(text) for text in raw)
     except (ParseError, TypeError):
         return None
-    if not _has_genus_shape(elements, genus):
+    if not _has_genus_shape(elements, genus) or not _is_border_basis(elements, genus):
         return None
-    # The tag is handed out only if both checks below pass, and neither reads
-    # it: the module-level normal_form never truncates.  One basis object
-    # means one reducer list for the certificate, the generators and the
-    # caller's later normal forms.
+    # The tag is handed out only if the generators reduce to zero, which does
+    # not read it: the module-level normal_form never truncates.  One basis
+    # object means one reducer list for the generators and the caller's later
+    # normal forms.
     gb = GroebnerBasis(elements, genus=genus)
-    if not is_groebner_basis(gb) or any(
-        normal_form(p, gb) for p in relations_by_recursion(genus).polynomials()
-    ):
+    if any(normal_form(p, gb) for p in relations_by_recursion(genus).polynomials()):
         return None
     return gb
 

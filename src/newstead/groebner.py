@@ -20,10 +20,11 @@ of the leads instead of testing each monomial against each lead.
 
 `ideal_equal` needs no basis when the two generator lists are weighted
 homogeneous with the same weights, each once.  It decides equality weight
-by weight: ideals with homogeneous generators are equal iff each generator
-of one lies in the other's part of its weight, a finite span that the same
-division kernel reduces by Gaussian elimination.  Other lists are reduced
-modulo each other's basis.
+by weight: sorted by weight, the ideals are equal iff the i-th generators
+of both sides, reduced modulo the part of their weight spanned by one
+side's earlier generators, are both zero or multiples of each other; the
+same division kernel reduces by Gaussian elimination in those finite
+spans.  Other lists are reduced modulo each other's basis.
 """
 
 from __future__ import annotations
@@ -508,6 +509,14 @@ def _weight_part(gens: List[Polynomial], weight: int) -> List[_Reducer]:
     return reducers
 
 
+def _proportional(u: Dict[Monomial, Fraction], v: Dict[Monomial, Fraction]) -> bool:
+    """Both zero, or nonzero multiples of each other."""
+    first = next(iter(u), None)
+    return u.keys() == v.keys() and (
+        first is None or all(u[m] * v[first] == v[m] * u[first] for m in u)
+    )
+
+
 def ideal_equal(
     gens1: Iterable[Polynomial],
     gens2: Iterable[Polynomial],
@@ -518,15 +527,20 @@ def ideal_equal(
 
     Zero generators are dropped.  When both lists are weighted homogeneous
     with the same weights, each once, they are compared weight by weight
-    and no basis is built: the weight-d part of an ideal (F) with such
-    generators is the span of m*f, m a monomial of weight d minus that of
-    f, which `_weight_part` builds.  So (F) = (H) iff each generator of one
-    side lies in the other side's part of its own weight.  That decides
-    both ways, and the relation triple against the series derivatives or
-    the quotient bundle's Chern classes is such a pair at every genus.
-    Otherwise (lists of different lengths, an inhomogeneous generator,
-    differing or repeated weights) each side's generators are reduced
-    modulo the other side's basis, which decides equality too.
+    and no basis is built.  Sort both by weight, f_1, f_2, ... and h_1,
+    h_2, ... with weights d_1 < d_2 < ..., and let P_i be the weight-d_i
+    part of (f_1, ..., f_(i-1)): the span of m*f_j, m a monomial of weight
+    d_i minus that of f_j, which `_weight_part` builds.  Then (F) = (H) iff
+    at every i, f_i and h_i reduced modulo P_i are both zero or nonzero
+    multiples of each other.  Equal ideals have equal parts below d_i, which
+    generate (f_<i) and (h_<i), so those are equal, and the weight-d_i parts
+    P_i + span(f_i) and P_i + span(h_i) are equal; conversely, by induction
+    on i, (f_<i) = (h_<i) makes f_i and h_i lie in each other's ideal.  Only
+    one side's parts are built, and the relation triple against the series
+    derivatives or the quotient bundle's Chern classes is such a pair at
+    every genus.  Otherwise (lists of different lengths, an inhomogeneous
+    generator, differing or repeated weights) each side's generators are
+    reduced modulo the other side's basis, which decides equality too.
     Precomputed bases may be supplied to avoid redundant work on that
     route.
     """
@@ -538,11 +552,15 @@ def ideal_equal(
         and None not in weights
         and weights == {p.weighted_degree() for p in list2}
     ):
-        return not any(
-            _reduce_terms(dict(p.terms), _weight_part(other, p.weighted_degree()))
-            for side, other in ((list1, list2), (list2, list1))
-            for p in side
-        )
+        f = sorted(list1, key=Polynomial.weighted_degree)
+        h = sorted(list2, key=Polynomial.weighted_degree)
+        for i, (p, q) in enumerate(zip(f, h)):
+            part = _weight_part(f[:i], p.weighted_degree())
+            if not _proportional(
+                _reduce_terms(dict(p.terms), part), _reduce_terms(dict(q.terms), part)
+            ):
+                return False
+        return True
     gb1 = basis1 if basis1 is not None else buchberger(list1)
     gb2 = basis2 if basis2 is not None else buchberger(list2)
     return all(gb1.contains(p) for p in list2) and all(

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,11 +34,13 @@ from newstead.groebner import (
     ORDER_TAG,
     GroebnerBasis,
     expected_initial_ideal,
+    is_groebner_basis,
     normal_form,
     relation_ideal_basis,
 )
 from newstead.ring import ALPHA, BETA, ONE, ZERO, Monomial, Polynomial
 from newstead.series import PowerSeries
+from newstead.textform import parse_poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -693,6 +696,66 @@ class TestCache:
         )
         assert (proc.returncode, proc.stdout.strip()) == (EXIT_OK, "1 1 2 2 2 1 1")
         assert load_cached_basis(tmp_path, 3) is not None  # rewritten
+
+    def test_hostile_denominators_rejected_in_bounded_time(self, tmp_path, capsys):
+        # every tail coefficient over its own 4000-digit odd denominator:
+        # parses and has genus shape, so the border check must reject it
+        odd = iter(range(10**3999 + 1, 10**4000, 2))
+
+        def hostile(old):
+            return [
+                str(Polynomial({
+                    m: q if m == p.leading_monomial() else Fraction(1, next(odd))
+                    for m, q in p.terms.items()
+                }))
+                for p in relation_ideal_basis(8).elements
+            ]
+
+        self._poison(tmp_path, 8, hostile)
+        raw = json.loads(newstead.cache.cache_path(tmp_path, 8).read_text())["elements"]
+        assert newstead.cache._has_genus_shape([parse_poly(t) for t in raw], 8)
+        _, fresh, _ = run_cli(capsys, "hilbert", "-g", "8")
+        proc = run_module("hilbert", "-g", "8", "--cache-dir", str(tmp_path), timeout=10)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, fresh)
+        assert load_cached_basis(tmp_path, 8) is not None  # rewritten
+
+    @pytest.mark.parametrize("genus", range(1, 13))
+    def test_border_check_accepts_true_bases(self, genus):
+        elements = relation_ideal_basis(genus).elements
+        assert newstead.cache._is_border_basis(elements, genus)
+        assert is_groebner_basis(elements)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), genus=st.sampled_from([3, 4, 5]))
+    def test_border_check_agrees_with_buchberger(self, data, genus):
+        # changed or dropped tail coefficients keep the genus shape
+        elements = list(relation_ideal_basis(genus).elements)
+        tails = [
+            (i, m) for i, p in enumerate(elements)
+            for m in p.terms if m != p.leading_monomial()
+        ]
+        changes = data.draw(st.lists(st.sampled_from(tails), min_size=1, max_size=2))
+        for i, m in changes:
+            c = data.draw(st.sampled_from([0, 1, -2, Fraction(1, 7)]))
+            elements[i] = Polynomial({**elements[i].terms, m: c})
+        assert newstead.cache._has_genus_shape(elements, genus)
+        assert newstead.cache._is_border_basis(elements, genus) == is_groebner_basis(
+            elements
+        )
+
+    def test_load_runs_no_buchberger(self, tmp_path, monkeypatch):
+        bases = {g: relation_ideal_basis(g) for g in range(1, 9)}
+        for gb in bases.values():
+            save_cached_basis(tmp_path, gb)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Buchberger run on a cache load")
+
+        for module in (newstead.groebner, newstead.cache):
+            for name in ("buchberger", "is_groebner_basis"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for g, gb in bases.items():
+            assert newstead.cache.relation_basis_cached(g, str(tmp_path)) == gb
 
     @pytest.mark.parametrize(
         "index, mono", GENUS5_TAILS, ids=[f"{i}-{m}" for i, m in GENUS5_TAILS]
