@@ -1,17 +1,19 @@
 """On-disk cache of reduced Groebner bases, one JSON file per genus.
 
 A loaded file is never trusted.  An element list of any length but
-C(g+2, 2) is rejected before a single element is parsed.  The elements must
-be monic and sorted strictly ascending by lead, the leads must be exactly
-the monomials of standard degree g, and every other term must have standard
-degree below g.  These shape checks take linear time, and they make the file
+C(g+2, 2) is rejected before a single element is parsed.  The staircase of
+the genus-g basis is known in advance: its leads are the monomials of
+standard degree g.  So the i-th element must contain the i-th of them, in
+ascending order, with coefficient 1, and every other term must have standard
+degree below g.  This shape check takes linear time, and it makes the file
 a border prebasis of the order ideal O of the C(g+2, 3) monomials of degree
 below g, whose border is exactly those leads.  The border criterion then
 certifies it (Kehrein, Kreuzer and Robbiano, "An algebraist's view on border
 bases", 2005; Mourrain, 1999): the multiplication maps on O that the tails
-define must commute, one substitution per term of degree g in integers, with
-no division loop and no pair queue.  So the file is a border basis of the
-ideal I it spans, and dim Q[a,b,c]/I = |O|.  Every tail has lower degree, so
+define must commute, one substitution per term of degree g, on the
+`ring.integer_form` of each element, with no division loop and no pair
+queue.  So the file is a border basis of the ideal I it spans, and
+dim Q[a,b,c]/I = |O|.  Every tail has lower degree, so
 the leads are grevlex leads; the monomials outside the ideal they generate
 are O, already dim Q[a,b,c]/I of them, so the leads generate the initial
 ideal of I and the file is its reduced Groebner basis.  Last, the relation
@@ -37,7 +39,7 @@ from .groebner import (
     relation_ideal_basis,
 )
 from .relations import relations_by_recursion
-from .ring import Polynomial
+from .ring import Monomial, Polynomial, integer_form, mono_key
 from .textform import ParseError, parse_poly
 
 CACHE_VERSION = 1
@@ -80,22 +82,18 @@ def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
 
 
 def _has_genus_shape(elements: Sequence[Polynomial], genus: int) -> bool:
-    """Nonzero, monic, sorted strictly ascending by lead, leads all monomials
-    of standard degree g, tails of standard degree below g.  Linear time.
+    """One element per monomial of standard degree g: the i-th contains the
+    i-th of them in ascending order with coefficient 1, and every other term
+    has standard degree below g.  Linear time.
 
-    Leads of one degree never divide one another and tails below that degree
-    are standard, so such a set is reduced and its standard monomials are
-    the C(g+2, 3) monomials of degree below g."""
-    if any(not p or p.leading_coefficient() != 1 for p in elements):
-        return False
-    leads = [p.leading_monomial() for p in elements]
-    keys = [m.sort_key() for m in leads]
-    if any(lo >= hi for lo, hi in zip(keys, keys[1:])):
-        return False
-    if set(leads) != expected_initial_ideal(genus):
-        return False
-    return all(
-        m.degree < genus for p, lm in zip(elements, leads) for m in p.terms if m != lm
+    That monomial is then the element's lead, so the elements are monic and
+    sorted by lead.  Leads of one degree never divide one another and tails
+    below that degree are standard, so such a set is reduced and its
+    standard monomials are the C(g+2, 3) monomials of degree below g."""
+    leads = sorted(expected_initial_ideal(genus), key=Monomial.sort_key)
+    return len(elements) == len(leads) and all(
+        p.terms.get(lm) == 1 and all(m.degree < genus for m in p.terms if m != lm)
+        for p, lm in zip(elements, leads)
     )
 
 
@@ -106,56 +104,48 @@ def _is_border_basis(elements: Sequence[Polynomial], genus: int) -> bool:
     must agree once each term of degree g is replaced by minus its element's
     tail; below degree g-1 the two products agree by symmetry.
 
-    Monomials are integer keys.  A tail is scaled to integer numerators over
-    its own denominator the first time a product reads it, and a product's
-    denominator is its element's times the lcm of those it substitutes."""
-    size = genus + 1
-    shift = (size * size, size, 1)  # multiplying by a, b, c adds these keys
-    # the shape check sorted the leads ascending: c, then b descending
-    by_lead = dict(zip(
-        ((genus - b - c) * size * size + b * size + c
-         for c in range(genus, -1, -1) for b in range(genus - c, -1, -1)),
-        elements,
-    ))
-    tails, products = {}, {}
-
-    def tail(key):
-        if key not in tails:
-            terms = [(m, q) for m, q in by_lead[key].terms.items() if m.degree < genus]
-            den = lcm(*(q.denominator for _, q in terms))
-            tails[key] = den, [
-                ((m.a * size + m.b) * size + m.c,
-                 q.numerator * (den // q.denominator),
-                 m.degree == genus - 1)
-                for m, q in terms
-            ]
-        return tails[key]
+    Each element is read as its `integer_form`, keyed by its lead, the same
+    ascending list of degree-g monomials the shape check matched.  A term of
+    a product has degree g exactly when its key is one of those leads, and
+    a product's denominator is its element's times the lcm of those it
+    substitutes."""
+    # multiplying by a, b or c adds this to a key
+    shift = tuple(mono_key(m) for m in (Monomial(1), Monomial(0, 1), Monomial(0, 0, 1)))
+    tails = {}  # lead key -> (denominator, [(monomial key, numerator)])
+    leads = sorted(expected_initial_ideal(genus), key=Monomial.sort_key)
+    for lead, p in zip(map(mono_key, leads), elements):
+        den, terms = integer_form(p)
+        tails[lead] = den, [(m, n) for m, n in terms if m != lead]
+    products = ({}, {}, {})  # products[var][key]
 
     def times(key, var):
         # x_var * tail(key), terms of degree g substituted, as
         # (denominator, {monomial key: numerator})
-        if (key, var) not in products:
-            den, terms = tail(key)
+        memo = products[var]
+        if key not in memo:
+            den, terms = tails[key]
             step = shift[var]
             out, border = {}, []
-            for m, n, top in terms:
-                if top:
-                    border.append((tail(m + step), n))
+            for m, n in terms:
+                m += step
+                if m in tails:
+                    border.append((tails[m], n))
                 else:
-                    out[m + step] = n
+                    out[m] = n
             scale = lcm(*(d for (d, _), _ in border))
             if scale != 1:
                 out = {m: n * scale for m, n in out.items()}
+            get = out.get
             for (d, terms_q), n in border:
                 n *= scale // d
-                for m, nq, _ in terms_q:
-                    out[m] = out.get(m, 0) - n * nq
-            products[key, var] = den * scale, out
-        return products[key, var]
+                for m, nq in terms_q:
+                    out[m] = get(m, 0) - n * nq
+            memo[key] = den * scale, out
+        return memo[key]
 
     for a in range(genus):
         for b in range(genus - a):
-            t = (a * size + b) * size + genus - 1 - a - b
+            t = mono_key(Monomial(a, b, genus - 1 - a - b))
             for k, l in ((0, 1), (0, 2), (1, 2)):
                 dk, left = times(t + shift[k], l)
                 dl, right = times(t + shift[l], k)

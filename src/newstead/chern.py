@@ -29,7 +29,7 @@ from typing import Iterable, List, Tuple
 
 from .groebner import GroebnerBasis, _monomials_of_weight, ideal_equal, pairing_ratio
 from .relations import RelationTriple
-from .ring import Monomial, Polynomial
+from .ring import Monomial, Polynomial, integer_form, mono_key
 from .series import PowerSeries
 
 __all__ = [
@@ -125,7 +125,7 @@ def chern_matches_series(genus: int, series: PowerSeries) -> bool:
     return all(graded.component(r) == series.coefficient(r) for r in range(genus + 3))
 
 
-def chern_relations_check(triple: RelationTriple, gb: GroebnerBasis) -> bool:
+def chern_relations_check(triple: RelationTriple) -> bool:
     """c_g, c_{g+1}, c_{g+2} of the quotient bundle generate the ideal.
 
     Ideal equality with the genus-g `triple`.  Both lists have weights
@@ -133,29 +133,27 @@ def chern_relations_check(triple: RelationTriple, gb: GroebnerBasis) -> bool:
     basis: each class must lie in the span of the multiples m*f of the
     relations that have its weight, and each relation in the span of the
     classes' multiples of its weight, which holds iff the ideals are equal.
-    `gb` serves only the basis route, for lists outside that shape.
     """
     g = triple.genus
     graded = quotient_chern(g + 2)
     classes = [graded.component(r) for r in (g, g + 1, g + 2)]
-    return ideal_equal(classes, triple.polynomials(), basis2=gb)
+    return ideal_equal(classes, triple.polynomials())
 
 
 def _all_vanish(xs: Iterable[Polynomial], genus: int, gb: GroebnerBasis) -> bool:
     """Each weighted homogeneous x in xs is zero modulo the genus-g ideal.
 
     By duality: L(x s) = 0 for every monomial s of weight 3g-3 minus that
-    of x, with L = `pairing_ratio` and each x scaled to integers.
+    of x, with L = `pairing_ratio`, summed in integers over the
+    `integer_form` of L and of x, and L(m s) looked up by key(m) + key(s).
     """
     top = 3 * genus - 3
-    ratios = {m: pairing_ratio(m, gb) for m in _monomials_of_weight(top)}
-    scale = lcm(*(q.denominator for q in ratios.values()))
-    socle = {m: q.numerator * (scale // q.denominator) for m, q in ratios.items()}
+    ratios = Polynomial({m: pairing_ratio(m, gb) for m in _monomials_of_weight(top)})
+    socle = dict(integer_form(ratios)[1])  # zero ratios are absent
     for x in filter(None, xs):
-        den = lcm(*(q.denominator for q in x.terms.values()))
-        terms = [(m, q.numerator * (den // q.denominator)) for m, q in x.terms.items()]
-        for s in _monomials_of_weight(top - x.weighted_degree()):
-            if sum(n * socle[m * s] for m, n in terms):
+        terms = integer_form(x)[1]
+        for s in map(mono_key, _monomials_of_weight(top - x.weighted_degree())):
+            if sum(n * socle.get(k + s, 0) for k, n in terms):
                 return False
     return True
 

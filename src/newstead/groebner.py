@@ -11,12 +11,13 @@ each lead arrives, then one pass of interreduction follows.  The certificate
 `is_groebner_basis` takes its pairs from the same selection, so for a
 genus-g basis it reduces g(g+2) S-polynomials instead of all C(C(g+2, 2), 2).
 Division pops terms largest first from a heap and reduces by the largest
-divisor lead, so normal forms are deterministic step by step; a
-`GroebnerBasis` builds its sorted reducer list once.  `pairing_ratio` reads
-the socle coefficient off a per-basis memo of the same division, so each
-monomial the divisions pass through is reduced once per basis, not once per
-query, and `standard_monomials` reads the quotient basis off the staircase
-of the leads instead of testing each monomial against each lead.
+divisor lead, so normal forms are deterministic step by step; reducers are
+monic, so a step never divides, and a `GroebnerBasis` builds its sorted
+list of them once.  `pairing_ratio` reads the socle coefficient off a
+per-basis memo of the same division, so each monomial the divisions pass
+through is reduced once per basis, not once per query, and
+`standard_monomials` reads the quotient basis off the staircase of the
+leads instead of testing each monomial against each lead.
 
 `ideal_equal` needs no basis when the two generator lists are weighted
 homogeneous with the same weights, each once.  It decides equality weight
@@ -59,15 +60,15 @@ __all__ = [
 # the monomial order, as the cache files and `groebner --format json` name it
 ORDER_TAG = "grevlex-abc"
 
-# reducer entry: (leading monomial, leading coefficient, tail terms)
-_Reducer = Tuple[Monomial, Fraction, Dict[Monomial, Fraction]]
+# reducer entry: (leading monomial, tail terms over the leading coefficient)
+_Reducer = Tuple[Monomial, Dict[Monomial, Fraction]]
 
 
 def _reducer_entry(p: Polynomial) -> _Reducer:
     lm = p.leading_monomial()
     terms = dict(p.terms)
     lc = terms.pop(lm)
-    return (lm, lc, terms)
+    return lm, terms if lc == 1 else {m: q / lc for m, q in terms.items()}
 
 
 def _reducer_key(entry: _Reducer):
@@ -115,14 +116,13 @@ def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
         if entry is None:
             out[m] = cf
             continue
-        lm, lc, tail = entry
+        lm, tail = entry
         qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
-        factor = cf / lc
         for tm, tc in tail.items():
             key = Monomial(tm.a + qa, tm.b + qb, tm.c + qc)
             if key not in work:
                 heapq.heappush(heap, (_heap_key(key), key))
-            value = work.get(key, 0) - factor * tc
+            value = work.get(key, 0) - cf * tc
             if value:
                 work[key] = value
             else:
@@ -160,17 +160,17 @@ def normal_form(
 
 
 def _interreduce(reducers: List[_Reducer]) -> Tuple[Polynomial, ...]:
-    """Reduced basis from the monic reducers of a Groebner basis, sorted by
-    lead, in one pass: drop each element whose lead an earlier kept lead
-    divides, then reduce each kept tail once against the kept set (Cox,
-    Little, O'Shea, Ideals, Varieties, and Algorithms, section 2.7)."""
+    """Reduced basis from the reducers of a Groebner basis, sorted by lead,
+    in one pass: drop each element whose lead an earlier kept lead divides,
+    then reduce each kept tail once against the kept set (Cox, Little,
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.7)."""
     kept: List[_Reducer] = []
     for entry in reducers:
         if not any(k[0].divides(entry[0]) for k in kept):
             kept.append(entry)
     return tuple(
-        Polynomial._raw({lm: lc, **_reduce_terms(dict(tail), kept)})
-        for lm, lc, tail in kept
+        Polynomial._raw({lm: Fraction(1), **_reduce_terms(dict(tail), kept)})
+        for lm, tail in kept
     )
 
 
@@ -351,7 +351,7 @@ class StandardMonomialBasis:
         """Every term of each polynomial but its lead is a standard monomial."""
         standard = set(self.monomials)
         return all(
-            m in standard for p in polys for m in p.terms if m != p.leading_monomial()
+            standard >= p.terms.keys() - {p.leading_monomial()} for p in polys if p
         )
 
 
@@ -439,8 +439,8 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
 
     The value is the linear functional L(m) = coefficient of c^(g-1) in the
     normal form of m, memoized per basis object: when the largest lead
-    dividing m (the one division uses) is lm with coefficient lc and tail
-    t, m = u*lm gives L(m) = -(1/lc) * sum of tc * L(u*t) over the tail
+    dividing m (the one division uses) is lm, with tail t over its
+    coefficient, m = u*lm gives L(m) = -sum of tc * L(u*t) over the tail
     terms, each below m; otherwise L(m) is 1 if m = c^(g-1) and 0 else.
     Division is linear, so this equals `gb.normal_form(m)`'s coefficient
     for any basis.  The divisions of the top-weight monomials pass through
@@ -458,14 +458,14 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
         )
     reducers, memo = gb._reducers, gb._socle
     socle = Monomial(0, 0, gb.genus - 1)
-    # (monomial, None) until expanded, then (monomial, tail terms times u, lc)
-    stack = [(mono, None, None)]
+    # (monomial, None) until expanded, then (monomial, tail terms times u)
+    stack = [(mono, None)]
     while stack:
-        m, terms, lc = stack[-1]
+        m, terms = stack[-1]
         if m in memo:
             stack.pop()
         elif terms is not None:  # every term below m is filled by now
-            memo[m] = -sum(tc * memo[t] for t, tc in terms) / lc
+            memo[m] = -sum((tc * memo[t] for t, tc in terms), Fraction(0))
             stack.pop()
         else:
             entry = _largest_divisor(m, reducers)
@@ -473,14 +473,14 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
                 memo[m] = Fraction(1 if m == socle else 0)
                 stack.pop()
                 continue
-            lm, lc, tail = entry
+            lm, tail = entry
             qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
             terms = [
                 (Monomial(tm.a + qa, tm.b + qb, tm.c + qc), tc)
                 for tm, tc in tail.items()
             ]
-            stack[-1] = (m, terms, lc)
-            stack.extend((t, None, None) for t, _ in terms if t not in memo)
+            stack[-1] = (m, terms)
+            stack.extend((t, None) for t, _ in terms if t not in memo)
     return memo[mono]
 
 

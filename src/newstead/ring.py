@@ -9,13 +9,17 @@ truncation bookkeeping, never the term order.
 The canonical text form prints the variables as ``a``, ``b``, ``c`` with
 terms in descending order, e.g. ``a^2 + b`` or ``-1/2*a^3*c``, and
 `newstead.textform.parse_poly` reads the same grammar back.
+
+`integer_form` is the one conversion of a polynomial to integers in the
+package: numerators over one denominator, keyed by packed monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -314,3 +318,34 @@ ONE = Polynomial({Monomial(): 1})
 ALPHA = Polynomial({Monomial(1, 0, 0): 1})
 BETA = Polynomial({Monomial(0, 1, 0): 1})
 GAMMA = Polynomial({Monomial(0, 0, 1): 1})
+
+
+# An integer form (d, [(key, n)]) stands for sum n m / d, the exponents of m
+# packed into key in _SHIFT bits each; inputs stay below 2^(_SHIFT-1), so the
+# key of a product of two monomials is the sum of their keys.
+IntegerForm = Tuple[int, List[Tuple[int, int]]]
+_SHIFT = 16
+_MASK = (1 << _SHIFT) - 1
+
+
+def mono_key(m: Monomial) -> int:
+    """The exponents of m packed into one integer, _SHIFT bits each."""
+    a, b, c = m
+    return a | b << _SHIFT | c << 2 * _SHIFT
+
+
+def key_mono(key: int) -> Monomial:
+    """The monomial whose `mono_key` is key."""
+    return Monomial(key & _MASK, key >> _SHIFT & _MASK, key >> 2 * _SHIFT)
+
+
+def integer_form(p: Polynomial) -> IntegerForm:
+    """p over the lcm of its denominators, with packed exponents."""
+    terms = p.terms
+    if terms and max(map(max, terms)) >> (_SHIFT - 1):
+        raise ValueError(f"exponent of {p} too large for integer arithmetic")
+    den = lcm(*(q.denominator for q in terms.values()))
+    return den, [  # each key is mono_key(m), inlined
+        (a | b << _SHIFT | c << 2 * _SHIFT, q.numerator * (den // q.denominator))
+        for (a, b, c), q in terms.items()
+    ]

@@ -13,18 +13,19 @@ silent zero.
 
 Every coefficient of a product, an exponential, a binomial series or the
 residual is one integer sum of products, `_sum_of_products`: each input
-coefficient is scaled once to integer numerators over the lcm of its
-denominators, the products of numerators accumulate per monomial over one
-common denominator, and each surviving output term is one `Fraction`.
+coefficient is read once as its `ring.integer_form`, the products of
+numerators accumulate per monomial key over one common denominator, and
+each surviving output term is one `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
-from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
+from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Polynomial
+from .ring import IntegerForm, integer_form, key_mono
 
 __all__ = [
     "PowerSeries",
@@ -44,34 +45,14 @@ def _coerce_poly(value) -> Polynomial:
     raise TypeError(f"cannot use {value!r} as a series coefficient")
 
 
-# An integer form (d, [(key, n)]) stands for sum n m / d, the exponents of m
-# packed into key in _SHIFT bits each; inputs stay below 2^(_SHIFT-1), so the
-# key of a product of two monomials is the sum of their keys.
-IntegerForm = Tuple[int, List[Tuple[int, int]]]
-_SHIFT = 16
-_MASK = (1 << _SHIFT) - 1
-
-
-def _integer_form(p: Polynomial) -> IntegerForm:
-    """p over the lcm of its denominators, with packed exponents."""
-    terms = p.terms
-    if terms and max(map(max, terms)) >> (_SHIFT - 1):
-        raise ValueError(f"exponent of {p} too large for series arithmetic")
-    den = lcm(*(q.denominator for q in terms.values()))
-    return den, [
-        (a | b << _SHIFT | c << 2 * _SHIFT, q.numerator * (den // q.denominator))
-        for (a, b, c), q in terms.items()
-    ]
-
-
 def _sum_of_products(
     products: Iterable[Tuple[int, IntegerForm, IntegerForm]], den: int = 1
 ) -> Polynomial:
     """sum w p q / den over the (w, p, q) products, for integers w and den.
 
-    Each product of numerators accumulates per monomial, over the lcm D of
-    the denominators d_p d_q; the weight w D / (d_p d_q) is folded into the
-    left numerators.  Each surviving output term is one Fraction over D den.
+    Each product of numerators accumulates under the sum of the keys, over
+    the lcm D of d_p d_q; the weight w D / (d_p d_q) is folded into the left
+    numerators.  Each surviving output term is one Fraction over D den.
     """
     products = [(w, p, q) for w, p, q in products if w and p[1] and q[1]]
     common = lcm(*(dp * dq for _, (dp, _), (dq, _) in products))
@@ -85,18 +66,12 @@ def _sum_of_products(
                 k = k1 + k2
                 acc[k] = get(k, 0) + n1 * n2
     den *= common
-    return Polynomial._raw(
-        {
-            Monomial(k & _MASK, k >> _SHIFT & _MASK, k >> 2 * _SHIFT): Fraction(n, den)
-            for k, n in acc.items()
-            if n
-        }
-    )
+    return Polynomial._raw({key_mono(k): Fraction(n, den) for k, n in acc.items() if n})
 
 
-_ONE_FORM, _ZERO_FORM = _integer_form(ONE), _integer_form(ZERO)
+_ONE_FORM, _ZERO_FORM = integer_form(ONE), integer_form(ZERO)
 # the factors of the four products in functional_equation_residual
-_EQUATION = tuple(map(_integer_form, (ONE, ALPHA, BETA, GAMMA)))
+_EQUATION = tuple(map(integer_form, (ONE, ALPHA, BETA, GAMMA)))
 
 
 class PowerSeries:
@@ -178,8 +153,8 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            p = [_integer_form(c) for c in self._coeffs[: n + 1]]
-            q = [_integer_form(c) for c in other._coeffs[: n + 1]]
+            p = [integer_form(c) for c in self._coeffs[: n + 1]]
+            q = [integer_form(c) for c in other._coeffs[: n + 1]]
             return PowerSeries(
                 [
                     _sum_of_products((1, p[i], q[k - i]) for i in range(k + 1))
@@ -229,12 +204,12 @@ def _solve(
     s: PowerSeries, weight: Callable[[int, int], int], den: int = 1
 ) -> PowerSeries:
     """F with F_0 = 1 and k den F_k = sum_{j=1..k} weight(j, k) s_j F_(k-j)."""
-    forms = [_integer_form(c) for c in s.coefficients]
+    forms = [integer_form(c) for c in s.coefficients]
     coeffs, solved = [ONE], [_ONE_FORM]
     for k in range(1, s.order + 1):
         products = ((weight(j, k), forms[j], solved[k - j]) for j in range(1, k + 1))
         coeffs.append(_sum_of_products(products, k * den))
-        solved.append(_integer_form(coeffs[-1]))
+        solved.append(integer_form(coeffs[-1]))
     return PowerSeries(coeffs)
 
 
@@ -287,7 +262,7 @@ def functional_equation_residual(s: PowerSeries) -> PowerSeries:
     """
     if s.order < 1:
         raise ValueError("residual needs a series of order at least 1")
-    c = [_ZERO_FORM, _ZERO_FORM] + [_integer_form(x) for x in s.coefficients]
+    c = [_ZERO_FORM, _ZERO_FORM] + [integer_form(x) for x in s.coefficients]
     return PowerSeries(
         [
             _sum_of_products(

@@ -74,7 +74,7 @@ def _context(by_rec: RelationTriple, cache_dir: Optional[str]) -> Context:
 
 def _ideal_equal_series(x: Context) -> bool:
     derivatives = [taylor_derivative(x.phi, r) for r in (x.g, x.g + 1, x.g + 2)]
-    return ideal_equal(x.by_rec.polynomials(), derivatives, basis1=x.gb)
+    return ideal_equal(x.by_rec.polynomials(), derivatives)
 
 
 def _betti_monotone(x: Context) -> bool:
@@ -116,7 +116,7 @@ CHECKS: Tuple[Row, ...] = (
         lambda x: x.sm.contains_tails(x.by_rec.polynomials())),
     Row("ideal-equal-series", ALL, _ideal_equal_series),
     Row("chern-matches-series", ALL, lambda x: chern_matches_series(x.g, x.phi)),
-    Row("chern-relations", ALL, lambda x: chern_relations_check(x.by_rec, x.gb)),
+    Row("chern-relations", ALL, lambda x: chern_relations_check(x.by_rec)),
     Row("invariant-dimensions", ALL, lambda x: invariant_dimensions(x.g) == x.counts),
     Row("tangent-vanishing", FROM_2, lambda x: tangent_vanishing_check(x.g, x.gb)),
     Row("tangent-negative-control", FROM_2,

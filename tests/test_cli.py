@@ -490,6 +490,22 @@ class TestVerify:
         assert ("g=2", "pairing-spot-values", False, "") in checks
         assert ("g=2", "pairing-socle", True, "") in checks
 
+    def test_uniqueness_support_can_fail(self, monkeypatch):
+        checks, all_ok = newstead.verify.run_verify(3, 3)
+        assert all_ok and ("g=3", "uniqueness-support", True, "") in checks
+        honest = newstead.verify.relation_basis_cached
+
+        def tampered(genus, cache_dir):
+            # a*b becomes a lead, so f1 = a^3 + 5ab + 4c has a tail term
+            # outside the staircase
+            gb = honest(genus, cache_dir)
+            return GroebnerBasis(gb.elements + (ALPHA * BETA,), genus=genus)
+
+        monkeypatch.setattr(newstead.verify, "relation_basis_cached", tampered)
+        checks, all_ok = newstead.verify.run_verify(3, 3)
+        assert not all_ok
+        assert ("g=3", "uniqueness-support", False, "") in checks
+
     def test_chern_relations_can_fail(self, monkeypatch):
         honest = newstead.chern.quotient_chern
 
@@ -681,6 +697,23 @@ class TestCache:
         gb = relation_ideal_basis(3)
         extra = ALPHA ** 4 - gb.normal_form(ALPHA ** 4)
         self._poison(tmp_path, 3, lambda old: old + [str(extra)])
+        assert load_cached_basis(tmp_path, 3) is None
+
+    @pytest.mark.parametrize("index", range(10))
+    def test_scaled_element_rejected(self, tmp_path, index):
+        # 2*f spans the same ideal as f; bare monomials such as c^3 have no
+        # tail for the border check to read, so only the lead coefficient
+        # tells the file from the reduced basis
+        def tamper(old):
+            old[index] = str(2 * parse_poly(old[index]))
+            return old
+
+        self._poison(tmp_path, 3, tamper)
+        assert load_cached_basis(tmp_path, 3) is None
+
+    def test_tail_term_of_huge_degree_rejected(self, tmp_path):
+        # an exponent past what integer arithmetic packs must not get that far
+        self._poison(tmp_path, 3, lambda old: [old[0] + " + a^40000"] + old[1:])
         assert load_cached_basis(tmp_path, 3) is None
 
     def test_unsorted_basis_rejected(self, tmp_path):

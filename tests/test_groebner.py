@@ -381,6 +381,12 @@ class TestNormalForm:
         staged = gb3.normal_form(gb3.normal_form(p) * gb3.normal_form(q))
         assert direct == staged
 
+    @settings(max_examples=40, deadline=None)
+    @given(p=polynomials, scales=st.lists(coefficients, min_size=10, max_size=10))
+    def test_scaling_the_divisors_changes_nothing(self, gb3, p, scales):
+        scaled = [c * f for c, f in zip(scales, gb3.elements, strict=True)]
+        assert normal_form(p, scaled) == normal_form(p, gb3.elements)
+
     def test_spolynomial_by_hand(self):
         f1 = ALPHA**2 + BETA
         f2 = ALPHA * BETA + GAMMA

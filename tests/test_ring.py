@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newstead.ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial, mono_cmp
+from newstead.ring import integer_form, key_mono, mono_key
 
 monomials = st.builds(
     Monomial, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)
@@ -207,3 +208,18 @@ class TestOrderOverridesTupleOrder:
         high = Monomial(0, 3, 0)
         assert max([low, high]) == high
         assert sorted([high, low]) == [low, high]
+
+
+# every exponent the integer form accepts
+packable = st.builds(Monomial, *[st.integers(0, (1 << 15) - 1)] * 3)
+
+
+class TestIntegerForm:
+    @given(st.dictionaries(packable, coefficients, max_size=6).map(Polynomial))
+    def test_round_trip(self, p):
+        den, terms = integer_form(p)
+        assert Polynomial({key_mono(k): Fraction(n, den) for k, n in terms}) == p
+
+    @given(packable, packable)
+    def test_keys_add_as_monomials_multiply(self, m1, m2):
+        assert mono_key(m1 * m2) == mono_key(m1) + mono_key(m2)

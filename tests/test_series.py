@@ -338,6 +338,8 @@ class TestKernelAgainstOracles:
         s = PowerSeries([ZERO, Polynomial({Monomial(0, 0, 1 << 15): 1})])
         with pytest.raises(ValueError):
             s * s
+        with pytest.raises(ValueError):  # one factor is enough
+            PowerSeries([Polynomial({Monomial(1 << 15): 1})]) * PowerSeries([ONE])
         assert PowerSeries([ONE, ALPHA**100]) * PowerSeries([ONE, BETA]) == (
             PowerSeries([ONE, ALPHA**100 + BETA])
         )
