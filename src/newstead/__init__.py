@@ -39,7 +39,6 @@ from .groebner import (
     complete_intersection_hilbert,
     hilbert_series,
     ideal_equal,
-    initial_ideal_minimal_generators,
     is_groebner_basis,
     normal_form,
     pairing_ratio,
@@ -95,7 +94,6 @@ __all__ = [
     "normal_form",
     "s_polynomial",
     "is_groebner_basis",
-    "initial_ideal_minimal_generators",
     "standard_monomials",
     "hilbert_series",
     "complete_intersection_hilbert",

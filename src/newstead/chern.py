@@ -111,43 +111,43 @@ def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     return _expand(max_weight, pre, 1, u, v, den)
 
 
-def chern_matches_series(genus: int, series: PowerSeries) -> bool:
-    """Compare c_r(Q) with the t^r series coefficient for all r <= g+2.
+def chern_matches_series(graded: GradedClass, series: PowerSeries) -> bool:
+    """Each component c_r of `graded`, through its truncation, equals the
+    t^r coefficient of `series`, which must reach that order.
 
-    `series` is the generating series truncated at order g+2 or beyond;
-    `verify` passes the one its other rows of genus g read.  The two sides
-    share no arithmetic: `quotient_chern` multiplies integer series in beta
-    alone, and `generating_series` truncated series in t with polynomial
-    coefficients, which `relations-dual-path` and `functional-equation`
-    certify without it.
+    `verify` passes its genus's c(Q) through weight g+2 and the series its
+    other rows read.  The two sides share no arithmetic: `quotient_chern`
+    multiplies integer series in beta alone, and `generating_series`
+    truncated series in t with polynomial coefficients, which
+    `relations-dual-path` and `functional-equation` certify without it.
     """
-    graded = quotient_chern(genus + 2)
-    return all(graded.component(r) == series.coefficient(r) for r in range(genus + 3))
+    return all(c == series.coefficient(r) for r, c in enumerate(graded.components))
 
 
-def chern_relations_check(triple: RelationTriple) -> bool:
-    """c_g, c_{g+1}, c_{g+2} of the quotient bundle generate the ideal.
+def chern_relations_check(graded: GradedClass, triple: RelationTriple) -> bool:
+    """c_g, c_{g+1}, c_{g+2} of the class `graded` generate the ideal.
 
-    Ideal equality with the genus-g `triple`.  Both lists have weights
-    g, g+1, g+2, so `ideal_equal` decides it weight by weight without a
-    basis: each class must lie in the span of the multiples m*f of the
-    relations that have its weight, and each relation in the span of the
-    classes' multiples of its weight, which holds iff the ideals are equal.
+    Ideal equality with the genus-g `triple`; `graded.component` raises if
+    the class stops short of weight g+2.  Both lists have weights g, g+1,
+    g+2, so `ideal_equal` decides it weight by weight without a basis: each
+    class must lie in the span of the multiples m*f of the relations that
+    have its weight, and each relation in the span of the classes'
+    multiples of its weight, which holds iff the ideals are equal.
     """
     g = triple.genus
-    graded = quotient_chern(g + 2)
     classes = [graded.component(r) for r in (g, g + 1, g + 2)]
     return ideal_equal(classes, triple.polynomials())
 
 
-def _all_vanish(xs: Iterable[Polynomial], genus: int, gb: GroebnerBasis) -> bool:
+def _all_vanish(xs: Iterable[Polynomial], gb: GroebnerBasis) -> bool:
     """Each weighted homogeneous x in xs is zero modulo the genus-g ideal.
 
-    By duality: L(x s) = 0 for every monomial s of weight 3g-3 minus that
-    of x, with L = `pairing_ratio`, summed in integers over the
-    `integer_form` of L and of x, and L(m s) looked up by key(m) + key(s).
+    The genus g is the tag of `gb`.  By duality: L(x s) = 0 for every
+    monomial s of weight 3g-3 minus that of x, with L = `pairing_ratio`,
+    summed in integers over the `integer_form` of L and of x, and L(m s)
+    looked up by key(m) + key(s).
     """
-    top = 3 * genus - 3
+    top = 3 * gb.genus - 3
     ratios = Polynomial({m: pairing_ratio(m, gb) for m in _monomials_of_weight(top)})
     socle = dict(integer_form(ratios)[1])  # zero ratios are absent
     for x in filter(None, xs):
@@ -158,17 +158,22 @@ def _all_vanish(xs: Iterable[Polynomial], genus: int, gb: GroebnerBasis) -> bool
     return True
 
 
-def tangent_vanishing_check(genus: int, gb: GroebnerBasis) -> bool:
+def tangent_vanishing_check(gb: GroebnerBasis) -> bool:
     """Tangent Chern classes above weighted degree 2g-2 vanish mod the ideal.
 
-    Checks every component of weighted degree w in (2g-2, 3g-3] without
-    division, through `pairing_ratio` on the genus-tagged basis `gb`.  The
-    quotient R_g is a complete intersection (`hilbert-closed-form`), hence
+    The genus g is read off the tag of `gb`; an untagged basis raises
+    `ValueError`.  Checks every component of weighted degree w in
+    (2g-2, 3g-3] without division, through `pairing_ratio`.  The quotient
+    R_g is a complete intersection (`hilbert-closed-form`), hence
     Gorenstein, and c^(g-1) spans its socle in weight 3g-3 (`socle-unique`);
     so the pairing R_w x R_(3g-3-w) -> Q through the socle coefficient is
     perfect, and a component is zero in R_g exactly when it pairs to zero
     with every monomial of weight 3g-3-w.  The row is sound only with those
-    two rows; `verify` fails if they fail.
+    two rows; `verify` fails if they fail.  The class is built here from
+    the tag, not passed in: a `GradedClass` does not record its genus.
     """
+    genus = gb.genus
+    if genus is None:
+        raise ValueError("the tangent check needs a genus-tagged basis")
     graded = tangent_chern(genus, 3 * genus - 3)
-    return _all_vanish(graded.components[2 * genus - 1 :], genus, gb)
+    return _all_vanish(graded.components[2 * genus - 1 :], gb)

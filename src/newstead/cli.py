@@ -19,13 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .betti import betti_cross_check, default_s_max, newstead_betti
 from .cache import load_cached_basis, relation_basis_cached, save_cached_basis
 from .chern import quotient_chern, tangent_chern
-from .groebner import (
-    ORDER_TAG,
-    hilbert_series,
-    initial_ideal_minimal_generators,
-    pairing_ratio,
-    standard_monomials,
-)
+from .groebner import ORDER_TAG, hilbert_series, pairing_ratio, standard_monomials
 from .relations import initial_terms, relations_by_definition, relations_by_recursion
 from .ring import Monomial
 from .textform import ParseError, parse_poly, to_latex
@@ -152,7 +146,7 @@ def _cmd_relations(args) -> int:
 def _cmd_groebner(args) -> int:
     genus, _ = _parse_genus_field(args.genus, allow_range=False)
     gb = relation_basis_cached(genus, args.cache_dir)
-    lead = sorted(initial_ideal_minimal_generators(gb), key=Monomial.sort_key)
+    lead = sorted(gb.leading_monomials(), key=Monomial.sort_key)
     payload = {
         "genus": genus,
         "order_tag": ORDER_TAG,

@@ -49,7 +49,6 @@ __all__ = [
     "buchberger",
     "relation_ideal_basis",
     "is_groebner_basis",
-    "initial_ideal_minimal_generators",
     "standard_monomials",
     "hilbert_series",
     "complete_intersection_hilbert",
@@ -179,11 +178,13 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic elements sorted by leading monomial.
 
     A `genus` tag asserts that this is the basis of the genus-g relation
-    ideal.  That ideal is weighted homogeneous and its quotient is zero
-    above weight 3g-3 (every standard monomial has standard degree below
-    g), so a tagged basis drops every term above that weight before it
-    reduces; `pairing_ratio` relies on the tag too, and keeps its memo on
-    the basis object, never shared with another basis.
+    ideal; only `relation_ideal_basis`, `load_cached_basis` and an explicit
+    `GroebnerBasis(elements, genus=g)` set one.  That ideal is weighted
+    homogeneous and its quotient is zero above weight 3g-3 (every standard
+    monomial has standard degree below g), so a tagged basis drops every
+    term above that weight before it reduces; `pairing_ratio` and
+    `tangent_vanishing_check` read the genus off the tag, and the former
+    keeps its memo on the basis object, never shared with another basis.
     """
 
     elements: Tuple[Polynomial, ...]
@@ -270,10 +271,9 @@ def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
             yield i, j
 
 
-def buchberger(
-    generators: Iterable[Polynomial], genus: Optional[int] = None
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by the generators."""
+def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal spanned by the generators,
+    untagged: the generators alone do not say which genus they belong to."""
     gens = list(generators)
     for p in gens:
         if not isinstance(p, Polynomial):
@@ -292,15 +292,15 @@ def buchberger(
         basis.append(new)
         lms.append(new.leading_monomial())
         insort(reducers, _reducer_entry(new), key=_reducer_key)
-    return GroebnerBasis(_interreduce(reducers), genus=genus)
+    return GroebnerBasis(_interreduce(reducers))
 
 
 def relation_ideal_basis(genus: int) -> GroebnerBasis:
-    """Reduced basis of the genus-g relation ideal."""
+    """Reduced basis of the genus-g relation ideal, tagged with the genus."""
     from .relations import relations_by_recursion
 
     triple = relations_by_recursion(genus)
-    return buchberger(triple.polynomials(), genus=genus)
+    return GroebnerBasis(buchberger(triple.polynomials()).elements, genus=genus)
 
 
 def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool:
@@ -320,21 +320,10 @@ def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool
     )
 
 
-def initial_ideal_minimal_generators(gb: GroebnerBasis) -> frozenset:
-    """Minimal monomial generators of the initial ideal.
-
-    For a reduced basis these are exactly the leading monomials; for the
-    genus-g relation ideal they are all C(g+2, 2) monomials of standard
-    degree g.
-    """
-    return frozenset(gb.leading_monomials())
-
-
 @dataclass(frozen=True)
 class StandardMonomialBasis:
     """Monomials outside the initial ideal, a basis of the quotient."""
 
-    genus: Optional[int]
     monomials: Tuple[Monomial, ...]
 
     def __len__(self) -> int:
@@ -397,7 +386,7 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
         for a in range(ends[b][c])
     ]
     found.sort(key=lambda m: (m.weight, m.sort_key()))
-    return StandardMonomialBasis(genus=gb.genus, monomials=tuple(found))
+    return StandardMonomialBasis(tuple(found))
 
 
 def hilbert_series(gb: GroebnerBasis) -> Tuple[int, ...]:

@@ -15,8 +15,10 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from .betti import betti_cross_check, invariant_dimensions, newstead_betti
 from .cache import relation_basis_cached
 from .chern import (
+    GradedClass,
     chern_matches_series,
     chern_relations_check,
+    quotient_chern,
     tangent_chern,
     tangent_vanishing_check,
 )
@@ -27,7 +29,6 @@ from .groebner import (
     expected_initial_ideal,
     expected_standard_count,
     ideal_equal,
-    initial_ideal_minimal_generators,
     pairing_ratio,
     standard_monomials,
 )
@@ -61,6 +62,7 @@ class Context(NamedTuple):
     gb: GroebnerBasis
     sm: StandardMonomialBasis
     counts: Tuple[int, ...]  # Hilbert series from the standard monomials
+    quotient: GradedClass  # c(Q) through weight g+2, read by both Chern rows
 
 
 def _context(by_rec: RelationTriple, cache_dir: Optional[str]) -> Context:
@@ -69,7 +71,8 @@ def _context(by_rec: RelationTriple, cache_dir: Optional[str]) -> Context:
     gb = relation_basis_cached(g, cache_dir)
     sm = standard_monomials(gb)
     by_def = relations_by_definition(g, phi)
-    return Context(g, phi, by_rec, by_def, gb, sm, sm.counts_by_weight())
+    counts = sm.counts_by_weight()
+    return Context(g, phi, by_rec, by_def, gb, sm, counts, quotient_chern(g + 2))
 
 
 def _ideal_equal_series(x: Context) -> bool:
@@ -100,7 +103,7 @@ CHECKS: Tuple[Row, ...] = (
         lambda x: x.by_rec.weighted_degrees() == (x.g, x.g + 1, x.g + 2)),
     Row("monic-leads", ALL,
         lambda x: all(p.leading_coefficient() == 1 for p in x.by_rec.polynomials())),
-    Row("initial-ideal", ALL, lambda x: initial_ideal_minimal_generators(x.gb)
+    Row("initial-ideal", ALL, lambda x: frozenset(x.gb.leading_monomials())
         == expected_initial_ideal(x.g)),
     Row("standard-monomial-count", ALL,
         lambda x: len(x.sm) == expected_standard_count(x.g)),
@@ -115,10 +118,10 @@ CHECKS: Tuple[Row, ...] = (
     Row("uniqueness-support", ALL,
         lambda x: x.sm.contains_tails(x.by_rec.polynomials())),
     Row("ideal-equal-series", ALL, _ideal_equal_series),
-    Row("chern-matches-series", ALL, lambda x: chern_matches_series(x.g, x.phi)),
-    Row("chern-relations", ALL, lambda x: chern_relations_check(x.by_rec)),
+    Row("chern-matches-series", ALL, lambda x: chern_matches_series(x.quotient, x.phi)),
+    Row("chern-relations", ALL, lambda x: chern_relations_check(x.quotient, x.by_rec)),
     Row("invariant-dimensions", ALL, lambda x: invariant_dimensions(x.g) == x.counts),
-    Row("tangent-vanishing", FROM_2, lambda x: tangent_vanishing_check(x.g, x.gb)),
+    Row("tangent-vanishing", FROM_2, lambda x: tangent_vanishing_check(x.gb)),
     Row("tangent-negative-control", FROM_2,
         lambda x: bool(x.gb.normal_form(tangent_chern(x.g, 1).component(1))),
         "c_1 must survive in the quotient"),

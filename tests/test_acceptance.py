@@ -30,7 +30,6 @@ from newstead.groebner import (
     expected_standard_count,
     hilbert_series,
     ideal_equal,
-    initial_ideal_minimal_generators,
     relation_ideal_basis,
     standard_monomials,
 )
@@ -110,9 +109,10 @@ def test_criterion_03_initial_ideal_shape(bases):
     bad = []
     for g in GB_RANGE:
         gb = computed[g]
-        if initial_ideal_minimal_generators(gb) != expected_initial_ideal(g):
+        leads = frozenset(gb.leading_monomials())
+        if leads != expected_initial_ideal(g):
             bad.append((g, "initial ideal"))
-        if len(initial_ideal_minimal_generators(gb)) != comb(g + 2, 2):
+        if len(leads) != comb(g + 2, 2):
             bad.append((g, "generator count"))
         if len(standard_monomials(gb)) != expected_standard_count(g):
             bad.append((g, "standard monomial count"))
@@ -157,7 +157,10 @@ def test_criterion_05_ideal_identifications(bases, recursion_triples):
 
 def test_criterion_06_chern_equals_series():
     series = {g: generating_series(g + 2) for g in range(1, 13)}
-    bad = [g for g, phi in series.items() if not chern_matches_series(g, phi)]
+    bad = [
+        g for g, phi in series.items()
+        if not chern_matches_series(quotient_chern(g + 2), phi)
+    ]
     report(6, "Chern components equal series coefficients g=1..12", not bad)
     assert not bad, bad
 
@@ -174,7 +177,7 @@ def test_criterion_08_tangent_vanishing(bases):
     bad = []
     for g in range(2, 9):
         gb = computed[g]
-        if not tangent_vanishing_check(g, gb):
+        if not tangent_vanishing_check(gb):
             bad.append((g, "vanishing"))
         if gb.normal_form(tangent_chern(g, 1).component(1)) != 2 * ALPHA:
             bad.append((g, "negative control"))

@@ -433,7 +433,7 @@ class TestVerify:
         assert ("g=3", "relations-dual-path", False, "") in checks
 
     def test_chern_matches_series_can_fail(self, monkeypatch):
-        honest = newstead.chern.quotient_chern
+        honest = newstead.verify.quotient_chern
 
         def tampered(max_weight):
             graded = honest(max_weight)
@@ -441,7 +441,7 @@ class TestVerify:
             components[1] = 2 * components[1]
             return GradedClass(tuple(components))
 
-        monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
+        monkeypatch.setattr(newstead.verify, "quotient_chern", tampered)
         checks, all_ok = newstead.verify.run_verify(2, 3)
         assert not all_ok
         assert ("g=2", "chern-matches-series", False, "") in checks
@@ -507,7 +507,7 @@ class TestVerify:
         assert ("g=3", "uniqueness-support", False, "") in checks
 
     def test_chern_relations_can_fail(self, monkeypatch):
-        honest = newstead.chern.quotient_chern
+        honest = newstead.verify.quotient_chern
 
         def tampered(max_weight):
             graded = honest(max_weight)
@@ -515,11 +515,30 @@ class TestVerify:
             components[-1] = components[-1] + ALPHA**max_weight
             return GradedClass(tuple(components))
 
-        monkeypatch.setattr(newstead.chern, "quotient_chern", tampered)
+        monkeypatch.setattr(newstead.verify, "quotient_chern", tampered)
         checks, all_ok = newstead.verify.run_verify(1, 5)
         assert not all_ok
         for g in range(1, 6):
             assert (f"g={g}", "chern-relations", g <= 2, "") in checks
+            # both Chern rows read the one class, and c_(g+2) is no longer
+            # the t^(g+2) coefficient at any genus
+            assert (f"g={g}", "chern-matches-series", False, "") in checks
+
+    def test_one_quotient_class_per_genus(self, monkeypatch):
+        # wrap every newstead.* binding, as the benchmark tracer does
+        honest = newstead.chern.quotient_chern
+        weights = []
+
+        def counted(max_weight):
+            weights.append(max_weight)
+            return honest(max_weight)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "newstead":
+                if getattr(module, "quotient_chern", None) is honest:
+                    monkeypatch.setattr(module, "quotient_chern", counted)
+        newstead.verify.run_verify(1, 10)
+        assert weights == [g + 2 for g in range(1, 11)]  # 10 calls, one per genus
 
     def test_gamma_inclusion_can_fail(self, monkeypatch):
         # a f1 = f1' - g^2 f2 by the recursion, and f2 (lead a^(g-1) b) is no
