@@ -1,9 +1,16 @@
-"""Command line front end.
+"""Command line front end: parse the arguments, render the result.
 
 Verbs: relations, groebner, nf, basis, hilbert, pairing, chern, betti and
 verify.  Output formats: text (default), json (deterministic: sorted keys,
 canonical polynomial strings, rationals as "num/den" strings) and latex
-for polynomial-valued results.
+for the polynomial-valued verbs (relations, groebner, nf, chern); the
+others print their text under latex.
+
+A verb takes the parsed arguments and the genus (a `(lo, hi)` range for
+verify) and returns `(payload, text_lines, latex_lines or None, ok)`; it
+prints nothing, and `main` prints one of the three and exits 1 when `ok`
+is false.  A verb touches the file system only through the basis cache,
+so every `OSError` it raises means an unusable `--cache-dir`.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
 3 expression parse error.
@@ -14,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .betti import betti_cross_check, default_s_max, newstead_betti
 from .cache import load_cached_basis, relation_basis_cached, save_cached_basis
@@ -41,10 +48,6 @@ __all__ = ["main", "run_verify", "save_cached_basis", "load_cached_basis"]
 
 class UsageError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Helpers
 
 
 def integer(text: str) -> int:
@@ -90,61 +93,34 @@ def _parse_genus_field(text: str, allow_range: bool) -> Tuple[int, int]:
     return lo, hi
 
 
-def _parse_single_monomial(text: str) -> Monomial:
-    poly = parse_poly(text)
-    terms = poly.sorted_terms()
-    if len(terms) != 1 or terms[0][1] != 1:
-        raise UsageError("expected a single monomial with coefficient 1")
-    return terms[0][0]
-
-
-def _emit(payload: dict, lines: List[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
 # Verbs
 
 
-def _cmd_relations(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
+# the LaTeX lines may be a generator: rendered only when printed
+Result = Tuple[dict, List[str], Optional[Iterable[str]], bool]
+
+
+def _relations(args, genus: int) -> Result:
     by_rec = relations_by_recursion(genus)
-    by_def = relations_by_definition(genus)
-    agree = by_rec == by_def
-    inits = initial_terms(by_rec)
+    agree = by_rec == relations_by_definition(genus)
+    named = list(enumerate(by_rec.polynomials(), 1))
     payload = {
         "genus": genus,
-        "f1": str(by_rec.f1),
-        "f2": str(by_rec.f2),
-        "f3": str(by_rec.f3),
+        **{f"f{i}": str(f) for i, f in named},
         "weighted_degrees": [genus, genus + 1, genus + 2],
-        "initial_terms": [str(m) for m in inits],
+        "initial_terms": [str(m) for m in initial_terms(by_rec)],
         "paths_agree": agree,
     }
-    if args.format == "latex":
-        lines = [
-            f"f_{{1}}^{{{genus}}} = {to_latex(by_rec.f1)}",
-            f"f_{{2}}^{{{genus}}} = {to_latex(by_rec.f2)}",
-            f"f_{{3}}^{{{genus}}} = {to_latex(by_rec.f3)}",
-        ]
-    else:
-        lines = [
-            f"f1 = {by_rec.f1}",
-            f"f2 = {by_rec.f2}",
-            f"f3 = {by_rec.f3}",
-            f"initial terms: {', '.join(str(m) for m in inits)}",
-            f"paths agree: {'yes' if agree else 'NO'}",
-        ]
-    _emit(payload, lines, args.format)
-    return EXIT_OK if agree else EXIT_CHECK_FAILED
+    text = [f"f{i} = {f}" for i, f in named] + [
+        f"initial terms: {', '.join(payload['initial_terms'])}",
+        f"paths agree: {'yes' if agree else 'NO'}",
+    ]
+    latex = (f"f_{{{i}}}^{{{genus}}} = {to_latex(f)}" for i, f in named)
+    return payload, text, latex, agree
 
 
-def _cmd_groebner(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
+def _groebner(args, genus: int) -> Result:
     gb = relation_basis_cached(genus, args.cache_dir)
     lead = sorted(gb.leading_monomials(), key=Monomial.sort_key)
     payload = {
@@ -153,73 +129,56 @@ def _cmd_groebner(args) -> int:
         "elements": [str(p) for p in gb.elements],
         "initial_ideal": [str(m) for m in lead],
     }
-    if args.format == "latex":
-        lines = [to_latex(p) for p in gb.elements]
-    else:
-        lines = [f"basis ({len(gb.elements)} elements):"]
-        lines += [f"  {p}" for p in gb.elements]
-        lines.append("initial ideal: " + ", ".join(str(m) for m in lead))
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    text = [f"basis ({len(gb.elements)} elements):"]
+    text += [f"  {p}" for p in payload["elements"]]
+    text.append("initial ideal: " + ", ".join(payload["initial_ideal"]))
+    return payload, text, (to_latex(p) for p in gb.elements), True
 
 
-def _cmd_nf(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
+def _nf(args, genus: int) -> Result:
     poly = parse_poly(args.poly)
-    gb = relation_basis_cached(genus, args.cache_dir)
-    result = gb.normal_form(poly)
+    result = relation_basis_cached(genus, args.cache_dir).normal_form(poly)
     payload = {"genus": genus, "input": str(poly), "normal_form": str(result)}
-    if args.format == "latex":
-        lines = [to_latex(result)]
-    else:
-        lines = [str(result)]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return payload, [payload["normal_form"]], [to_latex(result)], True
 
 
-def _cmd_basis(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
-    gb = relation_basis_cached(genus, args.cache_dir)
-    sm = standard_monomials(gb)
+def _basis(args, genus: int) -> Result:
+    sm = standard_monomials(relation_basis_cached(genus, args.cache_dir))
     payload = {
         "genus": genus,
         "count": len(sm),
         "monomials": [str(m) for m in sm.monomials],
     }
-    lines = [f"{len(sm)} standard monomials:"] + [f"  {m}" for m in sm.monomials]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    text = [f"{len(sm)} standard monomials:"] + [f"  {m}" for m in payload["monomials"]]
+    return payload, text, None, True
 
 
-def _cmd_hilbert(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
-    gb = relation_basis_cached(genus, args.cache_dir)
-    coeffs = hilbert_series(gb)
+def _hilbert(args, genus: int) -> Result:
+    coeffs = hilbert_series(relation_basis_cached(genus, args.cache_dir))
     payload = {
         "genus": genus,
         "coefficients": list(coeffs),
         "palindromic": coeffs == tuple(reversed(coeffs)),
     }
-    lines = [" ".join(str(h) for h in coeffs)]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    return payload, [" ".join(str(h) for h in coeffs)], None, True
 
 
-def _cmd_pairing(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
-    mono = _parse_single_monomial(args.mono)
+def _pairing(args, genus: int) -> Result:
+    poly = parse_poly(args.mono)
+    terms = poly.sorted_terms()
+    if len(terms) != 1 or terms[0][1] != 1:
+        raise UsageError("expected a single monomial with coefficient 1")
+    mono = terms[0][0]
     gb = relation_basis_cached(genus, args.cache_dir)
     try:
         ratio = pairing_ratio(mono, gb)
     except ValueError as exc:
         raise UsageError(str(exc))
     payload = {"genus": genus, "monomial": str(mono), "ratio": str(ratio)}
-    _emit(payload, [str(ratio)], args.format)
-    return EXIT_OK
+    return payload, [payload["ratio"]], None, True
 
 
-def _cmd_chern(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
+def _chern(args, genus: int) -> Result:
     max_weight = args.max_weight if args.max_weight is not None else 3 * genus - 3
     if max_weight < 0:
         raise UsageError("--max-weight must be non-negative")
@@ -239,18 +198,12 @@ def _cmd_chern(args) -> int:
         "max_weight": max_weight,
         "components": [str(c) for c in graded.components],
     }
-    if args.format == "latex":
-        lines = [
-            f"c_{{{w}}} = {to_latex(c)}" for w, c in enumerate(graded.components)
-        ]
-    else:
-        lines = [f"c_{w} = {c}" for w, c in enumerate(graded.components)]
-    _emit(payload, lines, args.format)
-    return EXIT_OK
+    text = [f"c_{w} = {c}" for w, c in enumerate(payload["components"])]
+    latex = (f"c_{{{w}}} = {to_latex(c)}" for w, c in enumerate(graded.components))
+    return payload, text, latex, True
 
 
-def _cmd_betti(args) -> int:
-    genus, _ = _parse_genus_field(args.genus, allow_range=False)
+def _betti(args, genus: int) -> Result:
     if genus < 2:
         raise UsageError("betti tables need genus at least 2")
     # the recursion is proven only up to the default bound
@@ -266,38 +219,55 @@ def _cmd_betti(args) -> int:
         "values": [[s, v] for s, v in enumerate(table.values)],
         "cross_check": cross,
     }
-    lines = [f"{s} {v}" for s, v in enumerate(table.values)]
-    lines.append(f"cross-check: {'ok' if cross else 'FAILED'}")
-    _emit(payload, lines, args.format)
-    return EXIT_OK if cross else EXIT_CHECK_FAILED
+    text = [f"{s} {v}" for s, v in enumerate(table.values)]
+    text.append(f"cross-check: {'ok' if cross else 'FAILED'}")
+    return payload, text, None, cross
 
 
-def _cmd_verify(args) -> int:
-    lo, hi = _parse_genus_field(args.genus, allow_range=True)
-    checks, all_ok = run_verify(lo, hi, args.cache_dir)
+def _verify(args, genus: Tuple[int, int]) -> Result:
+    checks, all_ok = run_verify(*genus, args.cache_dir)
     failed = sum(1 for _, _, ok, _ in checks if not ok)
     payload = {
-        "range": [lo, hi],
+        "range": list(genus),
         "checks": [
             {"scope": scope, "name": name, "ok": ok, "detail": detail}
             for scope, name, ok, detail in checks
         ],
         "all_ok": all_ok,
     }
-    lines = [
+    text = [
         f"{scope} {name}: {'ok' if ok else 'FAILED'}" + (f" ({note})" if note else "")
         for scope, name, ok, note in checks
     ]
-    lines.append(
+    text.append(
         f"verify: {len(checks) - failed}/{len(checks)} checks passed"
         + ("" if all_ok else f", {failed} FAILED")
     )
-    _emit(payload, lines, args.format)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return payload, text, None, all_ok
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing and rendering
+
+_INTEGER_OPTION = {"type": integer, "default": None}
+
+# name, handler, help, takes --cache-dir, extra options as (flag, keywords)
+VERBS = (
+    ("relations", _relations, "relation triple, both constructions", False, ()),
+    ("groebner", _groebner, "reduced Groebner basis and initial ideal", True, ()),
+    ("nf", _nf, "normal form of a polynomial", True,
+     (("--poly", {"required": True, "help": "polynomial expression"}),)),
+    ("basis", _basis, "standard monomial basis of the quotient", True, ()),
+    ("hilbert", _hilbert, "Hilbert series of the quotient", True, ()),
+    ("pairing", _pairing, "socle pairing ratio of a top monomial", True,
+     (("--mono", {"required": True, "help": "monomial expression"}),)),
+    ("chern", _chern, "graded Chern class components", False,
+     (("--target", {"choices": ("q", "ng"), "default": "q"}),
+      ("--max-weight", _INTEGER_OPTION))),
+    ("betti", _betti, "even Betti numbers with cross-check", False,
+     (("--s-max", _INTEGER_OPTION),)),
+    ("verify", _verify, "run every check over a genus range", True, ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,69 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, cache: bool = True) -> None:
+    for name, handler, help_text, cache, options in VERBS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("-g", "--genus", required=True, help="genus (verify: range A..B)")
-        p.add_argument(
-            "--format", choices=("text", "json", "latex"), default="text"
-        )
+        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         if cache:
             p.add_argument(
                 "--cache-dir", type=_cache_dir, default=None, help="Groebner basis cache"
             )
-
-    p = sub.add_parser("relations", help="relation triple, both constructions")
-    common(p, cache=False)
-    p.set_defaults(func=_cmd_relations)
-
-    p = sub.add_parser("groebner", help="reduced Groebner basis and initial ideal")
-    common(p)
-    p.set_defaults(func=_cmd_groebner)
-
-    p = sub.add_parser("nf", help="normal form of a polynomial")
-    common(p)
-    p.add_argument("--poly", required=True, help="polynomial expression")
-    p.set_defaults(func=_cmd_nf)
-
-    p = sub.add_parser("basis", help="standard monomial basis of the quotient")
-    common(p)
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("hilbert", help="Hilbert series of the quotient")
-    common(p)
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("pairing", help="socle pairing ratio of a top monomial")
-    common(p)
-    p.add_argument("--mono", required=True, help="monomial expression")
-    p.set_defaults(func=_cmd_pairing)
-
-    p = sub.add_parser("chern", help="graded Chern class components")
-    common(p, cache=False)
-    p.add_argument("--target", choices=("q", "ng"), default="q")
-    p.add_argument("--max-weight", type=integer, default=None)
-    p.set_defaults(func=_cmd_chern)
-
-    p = sub.add_parser("betti", help="even Betti numbers with cross-check")
-    common(p, cache=False)
-    p.add_argument("--s-max", type=integer, default=None)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("verify", help="run every check over a genus range")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        is_range = args.func is _verify
+        lo, hi = _parse_genus_field(args.genus, allow_range=is_range)
+        payload, text, latex, ok = args.func(args, (lo, hi) if is_range else lo)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -379,11 +309,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        # a path in the error can only come from the basis cache
-        if exc.filename is None:
-            raise
+        # a verb's only file system access is the basis cache
         print(f"error: unusable --cache-dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in latex if args.format == "latex" and latex is not None else text:
+            print(line)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

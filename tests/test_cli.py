@@ -1,3 +1,5 @@
+import argparse
+import errno
 import hashlib
 import json
 import os
@@ -26,6 +28,7 @@ from newstead.cli import (
     MAX_GENUS,
     MAX_WEIGHT,
     _parse_genus_field,
+    build_parser,
     load_cached_basis,
     main,
     save_cached_basis,
@@ -884,6 +887,20 @@ class TestCache:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_failed_cache_write_is_usage(self, tmp_path, capsys, monkeypatch):
+        # a full disk raises an OSError that names no file
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(newstead.cache.json, "dump", full_disk)
+        code, out, err = run_cli(
+            capsys, "groebner", "-g", "2", "--cache-dir", str(tmp_path)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: unusable --cache-dir: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("verb", ["groebner", "verify"])
     def test_empty_cache_dir_is_usage(self, tmp_path, monkeypatch, capsys, verb):
         # an empty path would otherwise name the working directory
@@ -915,6 +932,95 @@ class TestCache:
         )
         assert code == EXIT_OK
         assert out.strip() == "-b"
+
+
+GENUS_OPTION = (("-g", "--genus"), True, None, None, "genus (verify: range A..B)")
+FORMAT_OPTION = (("--format",), False, "text", ("text", "json", "latex"), None)
+CACHE_OPTION = (("--cache-dir",), False, None, None, "Groebner basis cache")
+
+# (option strings, required, default, choices, help) of each verb's options
+PARSER_SHAPE = {
+    "relations": [GENUS_OPTION, FORMAT_OPTION],
+    "groebner": [GENUS_OPTION, FORMAT_OPTION, CACHE_OPTION],
+    "nf": [
+        GENUS_OPTION,
+        FORMAT_OPTION,
+        CACHE_OPTION,
+        (("--poly",), True, None, None, "polynomial expression"),
+    ],
+    "basis": [GENUS_OPTION, FORMAT_OPTION, CACHE_OPTION],
+    "hilbert": [GENUS_OPTION, FORMAT_OPTION, CACHE_OPTION],
+    "pairing": [
+        GENUS_OPTION,
+        FORMAT_OPTION,
+        CACHE_OPTION,
+        (("--mono",), True, None, None, "monomial expression"),
+    ],
+    "chern": [
+        GENUS_OPTION,
+        FORMAT_OPTION,
+        (("--target",), False, "q", ("q", "ng"), None),
+        (("--max-weight",), False, None, None, None),
+    ],
+    "betti": [GENUS_OPTION, FORMAT_OPTION, (("--s-max",), False, None, None, None)],
+    "verify": [GENUS_OPTION, FORMAT_OPTION, CACHE_OPTION],
+}
+
+
+def verb_parsers():
+    (verbs,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return verbs.choices
+
+
+class TestParser:
+    def test_verbs_in_order(self):
+        assert list(verb_parsers()) == list(PARSER_SHAPE)
+
+    @pytest.mark.parametrize("verb", list(PARSER_SHAPE))
+    def test_options(self, verb):
+        options = [
+            (
+                tuple(action.option_strings),
+                action.required,
+                action.default,
+                tuple(action.choices) if action.choices else None,
+                action.help,
+            )
+            for action in verb_parsers()[verb]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        assert options == PARSER_SHAPE[verb]
+
+    def test_cache_dir_only_where_a_basis_is_built(self):
+        with_cache = {
+            verb
+            for verb, parser in verb_parsers().items()
+            if "--cache-dir" in parser._option_string_actions
+        }
+        assert with_cache == {"groebner", "nf", "basis", "hilbert", "pairing", "verify"}
+
+
+class TestRendering:
+    # only relations, groebner, nf and chern have a LaTeX form
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("basis", "-g", "3"),
+            ("hilbert", "-g", "3"),
+            ("pairing", "-g", "3", "--mono", "c^2"),
+            ("betti", "-g", "3"),
+            ("verify", "-g", "1..2"),
+        ],
+    )
+    def test_latex_falls_back_to_text(self, capsys, argv):
+        text = run_cli(capsys, *argv)
+        latex = run_cli(capsys, *argv, "--format", "latex")
+        assert latex == text
+        assert text[0] == EXIT_OK and text[1]
 
 
 class TestEntryPoint:
