@@ -169,8 +169,9 @@ def tangent_vanishing_check(gb: GroebnerBasis) -> bool:
     so the pairing R_w x R_(3g-3-w) -> Q through the socle coefficient is
     perfect, and a component is zero in R_g exactly when it pairs to zero
     with every monomial of weight 3g-3-w.  The row is sound only with those
-    two rows; `verify` fails if they fail.  The class is built here from
-    the tag, not passed in: a `GradedClass` does not record its genus.
+    two rows, and speaks about I_g only because `initial-ideal` certifies
+    `gb`; `verify` fails if any of them fails.  The class is built from the
+    tag, not passed in: a `GradedClass` does not record its genus.
     """
     genus = gb.genus
     if genus is None:

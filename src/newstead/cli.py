@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 
 # the largest genus accepted: time and memory grow steeply with g, and the
-# g=30 basis already takes about 1.6 s on one Xeon core
+# g=30 basis already takes about 1.3 s on one core of a shared Xeon
 MAX_GENUS = 30
 # the largest `chern --max-weight`: the top weight 3g-3 at the largest genus
 MAX_WEIGHT = 3 * MAX_GENUS - 3

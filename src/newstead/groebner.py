@@ -7,9 +7,11 @@ and the quotient has dimension C(g+2, 3).  Everything here is exact; the
 reduced basis is unique, hence independent of generator order.
 
 Pairs are chosen by lcm weight and pruned by the Gebauer-Moller update as
-each lead arrives, then one pass of interreduction follows.  The certificate
-`is_groebner_basis` takes its pairs from the same selection, so for a
-genus-g basis it reduces g(g+2) S-polynomials instead of all C(C(g+2, 2), 2).
+each lead arrives, then one pass of interreduction follows.  Buchberger's
+criterion, `is_groebner_basis`, takes its pairs from the same selection, so
+for a genus-g basis it reduces g(g+2) S-polynomials instead of all
+C(C(g+2, 2), 2); the tests keep it as the oracle for `is_relation_basis`,
+the certificate of a genus-g basis that the cache loader and `verify` use.
 Division pops terms largest first from a heap and reduces by the largest
 divisor lead, so normal forms are deterministic step by step; reducers are
 monic, so a step never divides, and a `GroebnerBasis` builds its sorted
@@ -35,10 +37,11 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .ring import Monomial, Polynomial
+from .relations import RelationTriple, relations_by_recursion
+from .ring import Monomial, Polynomial, integer_form, mono_key
 
 __all__ = [
     "ORDER_TAG",
@@ -49,6 +52,7 @@ __all__ = [
     "buchberger",
     "relation_ideal_basis",
     "is_groebner_basis",
+    "is_relation_basis",
     "standard_monomials",
     "hilbert_series",
     "complete_intersection_hilbert",
@@ -178,13 +182,14 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic elements sorted by leading monomial.
 
     A `genus` tag asserts that this is the basis of the genus-g relation
-    ideal; only `relation_ideal_basis`, `load_cached_basis` and an explicit
-    `GroebnerBasis(elements, genus=g)` set one.  That ideal is weighted
-    homogeneous and its quotient is zero above weight 3g-3 (every standard
-    monomial has standard degree below g), so a tagged basis drops every
-    term above that weight before it reduces; `pairing_ratio` and
-    `tangent_vanishing_check` read the genus off the tag, and the former
-    keeps its memo on the basis object, never shared with another basis.
+    ideal, which `is_relation_basis` certifies; only `relation_ideal_basis`,
+    `load_cached_basis` and an explicit `GroebnerBasis(elements, genus=g)`
+    set one.  That ideal is weighted homogeneous and its quotient is zero
+    above weight 3g-3 (every standard monomial has standard degree below
+    g), so a tagged basis drops every term above that weight before it
+    reduces; `pairing_ratio` and `tangent_vanishing_check` read the genus
+    off the tag, and the former keeps its memo on the basis object, never
+    shared with another basis.
     """
 
     elements: Tuple[Polynomial, ...]
@@ -203,6 +208,15 @@ class GroebnerBasis:
         # monomial -> coefficient of c^(g-1) in its normal form, filled by
         # `pairing_ratio`; not a field, like `_reducers`
         return {}
+
+    @cached_property
+    def _bordered(self) -> bool:
+        # the genus shape and the border criterion for the tag's genus, read
+        # by `is_relation_basis` once per basis; not a field, like `_reducers`
+        leads = sorted(expected_initial_ideal(self.genus), key=Monomial.sort_key)
+        return _has_genus_shape(self.elements, leads) and _is_border_basis(
+            self.elements, leads
+        )
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if self.genus is not None:
@@ -297,8 +311,6 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
 
 def relation_ideal_basis(genus: int) -> GroebnerBasis:
     """Reduced basis of the genus-g relation ideal, tagged with the genus."""
-    from .relations import relations_by_recursion
-
     triple = relations_by_recursion(genus)
     return GroebnerBasis(buchberger(triple.polynomials()).elements, genus=genus)
 
@@ -317,6 +329,100 @@ def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool
     return not any(
         _reduce_terms(dict(s_polynomial(polys[i], polys[j]).terms), reducers)
         for i, j in _critical_pairs(lms)
+    )
+
+
+def _has_genus_shape(elements: Sequence[Polynomial], leads: List[Monomial]) -> bool:
+    """One element per lead, the ascending monomials of standard degree g:
+    the i-th holds the i-th lead with coefficient 1 and every other term has
+    lower degree, so that lead is its lead.  Linear time.  Leads of one
+    degree never divide one another and tails below it are standard, so such
+    a set is monic, sorted and reduced, with the C(g+2, 3) monomials of
+    degree below g as its standard monomials."""
+    return len(elements) == len(leads) and all(
+        p.terms.get(lm) == 1 and all(m.degree < lm.degree for m in p.terms if m != lm)
+        for p, lm in zip(elements, leads)
+    )
+
+
+def _is_border_basis(elements: Sequence[Polynomial], leads: List[Monomial]) -> bool:
+    """The border criterion on a set of genus shape: the multiplication maps
+    that its tails define on the monomials of degree below g commute.  For t
+    of degree g-1 and variables x_k, x_l, x_l*tail(x_k*t) and x_k*tail(x_l*t)
+    must agree once each term of degree g is replaced by minus its element's
+    tail; below degree g-1 the two products agree by symmetry.
+
+    Each element is read as its `integer_form`, keyed by its lead.  A term of
+    a product has degree g exactly when its key is one of the leads, and
+    a product's denominator is its element's times the lcm of those it
+    substitutes."""
+    # multiplying by a, b or c adds this to a key
+    shift = tuple(mono_key(m) for m in (Monomial(1), Monomial(0, 1), Monomial(0, 0, 1)))
+    tails = {}  # lead key -> (denominator, [(monomial key, numerator)])
+    for lead, p in zip(map(mono_key, leads), elements):
+        den, terms = integer_form(p)
+        tails[lead] = den, [(m, n) for m, n in terms if m != lead]
+    products = ({}, {}, {})  # products[var][key]
+
+    def times(key, var):
+        # x_var * tail(key), terms of degree g substituted, as
+        # (denominator, {monomial key: numerator})
+        memo = products[var]
+        if key not in memo:
+            den, terms = tails[key]
+            step = shift[var]
+            out, border = {}, []
+            for m, n in terms:
+                m += step
+                if m in tails:
+                    border.append((tails[m], n))
+                else:
+                    out[m] = n
+            scale = lcm(*(d for (d, _), _ in border))
+            if scale != 1:
+                out = {m: n * scale for m, n in out.items()}
+            get = out.get
+            for (d, terms_q), n in border:
+                n *= scale // d
+                for m, nq in terms_q:
+                    out[m] = get(m, 0) - n * nq
+            memo[key] = den * scale, out
+        return memo[key]
+
+    # each t of degree g-1 is one lead over c
+    for t in (mono_key(lead) - shift[2] for lead in leads if lead.c):
+        for k, l in ((0, 1), (0, 2), (1, 2)):
+            dk, left = times(t + shift[k], l)
+            dl, right = times(t + shift[l], k)
+            common = gcd(dk, dl)
+            fl, fr = dl // common, dk // common
+            if any(
+                left.get(m, 0) * fl != right.get(m, 0) * fr
+                for m in left.keys() | right.keys()
+            ):
+                return False
+    return True
+
+
+def is_relation_basis(gb: GroebnerBasis, triple: RelationTriple) -> bool:
+    """True iff `gb` is the reduced basis of the ideal J of `triple`: it is
+    tagged with the triple's genus g, has the genus shape, passes the border
+    criterion, and every generator of `triple` reduces to zero.
+
+    The shape makes `gb` a border prebasis of the order ideal O of the
+    C(g+2, 3) monomials of degree below g, whose border is its leads.  The
+    border criterion (Kehrein, Kreuzer and Robbiano, "An algebraist's view on
+    border bases", 2005; Mourrain, 1999) makes it a border basis of the ideal
+    I it spans, so dim Q[a,b,c]/I = |O|; as every tail has lower degree, it
+    is the reduced Groebner basis of I.  The generators reduce to zero, so I
+    contains J, whose quotient has the same dimension C(g+2, 3): I = J, and
+    `gb` equals a fresh basis.  The shape and border result is kept on the
+    basis.  The generators go through the module-level `normal_form`, which
+    never truncates: at g <= 2 the tag's truncation would drop f3."""
+    return (
+        gb.genus == triple.genus
+        and gb._bordered
+        and not any(normal_form(p, gb) for p in triple.polynomials())
     )
 
 

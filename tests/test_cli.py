@@ -38,9 +38,11 @@ from newstead.groebner import (
     GroebnerBasis,
     expected_initial_ideal,
     is_groebner_basis,
+    is_relation_basis,
     normal_form,
     relation_ideal_basis,
 )
+from newstead.relations import relations_by_recursion
 from newstead.ring import ALPHA, BETA, ONE, ZERO, Monomial, Polynomial
 from newstead.series import PowerSeries
 from newstead.textform import parse_poly
@@ -54,6 +56,11 @@ GENUS5_TAILS = [
     for m in sorted(p.terms, key=Monomial.sort_key)
     if m != p.leading_monomial()
 ]
+
+
+def sorted_leads(genus):
+    """The leads of the genus-g basis, ascending, as the border check takes them."""
+    return sorted(expected_initial_ideal(genus), key=Monomial.sort_key)
 
 
 def run_cli(capsys, *argv):
@@ -509,6 +516,22 @@ class TestVerify:
         assert not all_ok
         assert ("g=3", "uniqueness-support", False, "") in checks
 
+    @pytest.mark.parametrize(
+        "index, mono", GENUS5_TAILS, ids=[f"{i}-{m}" for i, m in GENUS5_TAILS]
+    )
+    def test_initial_ideal_certifies_the_basis(self, monkeypatch, index, mono):
+        # leads unchanged: only the certificate tells this basis from the true one
+        p = GENUS5.elements[index]
+        elements = list(GENUS5.elements)
+        elements[index] = Polynomial({**p.terms, mono: p.terms[mono] + 1})
+        tampered = GroebnerBasis(tuple(elements), genus=5)
+        monkeypatch.setattr(
+            newstead.verify, "relation_basis_cached", lambda genus, cache_dir: tampered
+        )
+        checks, all_ok = newstead.verify.run_verify(5, 5)
+        assert not all_ok
+        assert ("g=5", "initial-ideal", False, "") in checks
+
     def test_chern_relations_can_fail(self, monkeypatch):
         honest = newstead.verify.quotient_chern
 
@@ -542,6 +565,28 @@ class TestVerify:
                     monkeypatch.setattr(module, "quotient_chern", counted)
         newstead.verify.run_verify(1, 10)
         assert weights == [g + 2 for g in range(1, 11)]  # 10 calls, one per genus
+
+    def test_one_border_check_per_genus_when_warm(self, tmp_path, monkeypatch):
+        # the load and the initial-ideal row certify one basis object
+        cache_dir = str(tmp_path)
+        assert newstead.verify.run_verify(1, 3, cache_dir)[1]  # primes the cache
+        honest = newstead.groebner._is_border_basis
+        genera = []
+
+        def counted(elements, leads):
+            genera.append(leads[0].degree)
+            return honest(elements, leads)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Buchberger run on a warm verify")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "newstead":
+                if getattr(module, "_is_border_basis", None) is honest:
+                    monkeypatch.setattr(module, "_is_border_basis", counted)
+        monkeypatch.setattr(newstead.groebner, "buchberger", refuse)
+        assert newstead.verify.run_verify(1, 3, cache_dir)[1]
+        assert genera == [1, 2, 3]
 
     def test_gamma_inclusion_can_fail(self, monkeypatch):
         # a f1 = f1' - g^2 f2 by the recursion, and f2 (lead a^(g-1) b) is no
@@ -666,6 +711,16 @@ class TestCache:
             assert load_cached_basis(tmp_path, 2) is None
             assert calls == []
 
+    @pytest.mark.parametrize("entry", [[1], {"x": 1}], ids=["list", "dict"])
+    def test_non_string_element_recomputed(self, tmp_path, capsys, entry):
+        # the right length, but an element the parser cannot take
+        self._poison(tmp_path, 2, lambda old: old[:-1] + [entry])
+        assert load_cached_basis(tmp_path, 2) is None
+        cache = ("--cache-dir", str(tmp_path))
+        code, out, _ = run_cli(capsys, "hilbert", "-g", "2", *cache)
+        assert (code, out.strip()) == (EXIT_OK, "1 1 1 1")
+        assert load_cached_basis(tmp_path, 2) is not None  # rewritten
+
     def test_long_element_list_recomputed(self, tmp_path, capsys):
         self._poison(tmp_path, 2, lambda old: ["a^2 + b"] * 200_000)
         cache = ("--cache-dir", str(tmp_path))
@@ -768,7 +823,8 @@ class TestCache:
 
         self._poison(tmp_path, 8, hostile)
         raw = json.loads(newstead.cache.cache_path(tmp_path, 8).read_text())["elements"]
-        assert newstead.cache._has_genus_shape([parse_poly(t) for t in raw], 8)
+        elements = [parse_poly(t) for t in raw]
+        assert newstead.groebner._has_genus_shape(elements, sorted_leads(8))
         _, fresh, _ = run_cli(capsys, "hilbert", "-g", "8")
         proc = run_module("hilbert", "-g", "8", "--cache-dir", str(tmp_path), timeout=10)
         assert (proc.returncode, proc.stdout) == (EXIT_OK, fresh)
@@ -776,9 +832,17 @@ class TestCache:
 
     @pytest.mark.parametrize("genus", range(1, 13))
     def test_border_check_accepts_true_bases(self, genus):
-        elements = relation_ideal_basis(genus).elements
-        assert newstead.cache._is_border_basis(elements, genus)
-        assert is_groebner_basis(elements)
+        gb = relation_ideal_basis(genus)
+        assert newstead.groebner._is_border_basis(gb.elements, sorted_leads(genus))
+        assert is_relation_basis(gb, relations_by_recursion(genus))
+        assert is_groebner_basis(gb.elements)
+
+    def test_relation_basis_needs_the_triples_tag(self):
+        triple = relations_by_recursion(4)
+        elements = relation_ideal_basis(4).elements
+        assert is_relation_basis(GroebnerBasis(elements, genus=4), triple)
+        for genus in (None, 3, 5):
+            assert not is_relation_basis(GroebnerBasis(elements, genus=genus), triple)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), genus=st.sampled_from([3, 4, 5]))
@@ -793,8 +857,9 @@ class TestCache:
         for i, m in changes:
             c = data.draw(st.sampled_from([0, 1, -2, Fraction(1, 7)]))
             elements[i] = Polynomial({**elements[i].terms, m: c})
-        assert newstead.cache._has_genus_shape(elements, genus)
-        assert newstead.cache._is_border_basis(elements, genus) == is_groebner_basis(
+        leads = sorted_leads(genus)
+        assert newstead.groebner._has_genus_shape(elements, leads)
+        assert newstead.groebner._is_border_basis(elements, leads) == is_groebner_basis(
             elements
         )
 
