@@ -1,17 +1,19 @@
 """On-disk cache of reduced Groebner bases, one JSON file per genus.
 
-A loaded file is never trusted.  Its header must match, and its element
-list must hold C(g+2, 2) strings, one per lead of the genus-g basis, before
-a single element is parsed.  The parsed basis is handed out only if
-`groebner.is_relation_basis` certifies it against the relation triple, and
-then it is bit-identical to a freshly computed basis; anything else is
-recomputed and rewritten by `relation_basis_cached`.
+A loaded file is never trusted.  Only a regular file is read, so a FIFO or
+a device at the path is recomputed and replaced.  Its header must match,
+and its element list must hold C(g+2, 2) strings, one per lead of the
+genus-g basis, before a single element is parsed.  The parsed basis is
+handed out only if `groebner.is_relation_basis` certifies it against the
+relation triple, and then it is bit-identical to a freshly computed basis;
+anything else is recomputed and rewritten by `relation_basis_cached`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from math import comb
 from pathlib import Path
@@ -64,7 +66,13 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
     """Load a cached basis, or None when missing, corrupt or invalid."""
     path = cache_path(cache_dir, genus)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        # opening a FIFO would block and a device may never end: read only a
+        # regular file, and open without blocking to find out what it is
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with os.fdopen(fd, encoding="utf-8") as handle:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                return None
+            payload = json.loads(handle.read())
     # ValueError also covers a number past the int digit limit, and deep
     # nesting raises RecursionError
     except (OSError, ValueError, RecursionError):

@@ -12,8 +12,9 @@ prints nothing, and `main` prints one of the three and exits 1 when `ok`
 is false.  A verb touches the file system only through the basis cache,
 so every `OSError` it raises means an unusable `--cache-dir`.
 
-Exit codes: 0 success, 1 a mathematical check failed, 2 usage error,
-3 expression parse error.
+Exit codes: 0 success, 1 a mathematical check failed, 2 usage error
+(including an `nf` coefficient too long to print), 3 expression parse
+error.
 """
 
 from __future__ import annotations
@@ -138,8 +139,12 @@ def _groebner(args, genus: int) -> Result:
 def _nf(args, genus: int) -> Result:
     poly = parse_poly(args.poly)
     result = relation_basis_cached(genus, args.cache_dir).normal_form(poly)
-    payload = {"genus": genus, "input": str(poly), "normal_form": str(result)}
-    return payload, [payload["normal_form"]], [to_latex(result)], True
+    try:
+        payload = {"genus": genus, "input": str(poly), "normal_form": str(result)}
+        latex = [to_latex(result)]
+    except ValueError:  # an int past the interpreter's digit limit
+        raise UsageError("a coefficient has too many digits to print")
+    return payload, [payload["normal_form"]], latex, True
 
 
 def _basis(args, genus: int) -> Result:

@@ -6,17 +6,21 @@ standard degree g, so the standard monomials are those of degree below g
 and the quotient has dimension C(g+2, 3).  Everything here is exact; the
 reduced basis is unique, hence independent of generator order.
 
-Pairs are chosen by lcm weight and pruned by the Gebauer-Moller update as
-each lead arrives, then one pass of interreduction follows.  Buchberger's
-criterion, `is_groebner_basis`, takes its pairs from the same selection, so
-for a genus-g basis it reduces g(g+2) S-polynomials instead of all
-C(C(g+2, 2), 2); the tests keep it as the oracle for `is_relation_basis`,
+From the generators to the reduced basis a polynomial is a monic entry, its
+lead and its tail over the lead's coefficient; an S-polynomial is
+u*tail1 - v*tail2, the monic leads cancelling.  One completion loop reduces
+the S-polynomials of the pairs chosen by lcm weight and pruned by the
+Gebauer-Moller update as each lead arrives, and appends each nonzero
+remainder as an entry.  Buchberger drains it and interreduces once; its
+criterion, `is_groebner_basis`, holds iff the loop appends nothing, so for
+a genus-g basis it reduces g(g+2) S-polynomials instead of all
+C(C(g+2, 2), 2).  The tests keep it as the oracle for `is_relation_basis`,
 the certificate of a genus-g basis that the cache loader and `verify` use.
 Division pops terms largest first from a heap and reduces by the largest
 divisor lead, so normal forms are deterministic step by step; reducers are
-monic, so a step never divides, and a `GroebnerBasis` builds its sorted
-list of them once.  `pairing_ratio` reads the socle coefficient off a
-per-basis memo of the same division, so each monomial the divisions pass
+monic entries, so a step never divides, and a `GroebnerBasis` builds its
+sorted list of them once.  `pairing_ratio` reads the socle coefficient off
+a per-basis memo of the same division, so each monomial the divisions pass
 through is reduced once per basis, not once per query, and
 `standard_monomials` reads the quotient basis off the staircase of the
 leads instead of testing each monomial against each lead.
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Tuple, Union
 
 from .relations import RelationTriple, relations_by_recursion
 from .ring import Monomial, Polynomial, integer_form, mono_key
@@ -67,11 +72,12 @@ ORDER_TAG = "grevlex-abc"
 _Reducer = Tuple[Monomial, Dict[Monomial, Fraction]]
 
 
-def _reducer_entry(p: Polynomial) -> _Reducer:
-    lm = p.leading_monomial()
-    terms = dict(p.terms)
-    lc = terms.pop(lm)
-    return lm, terms if lc == 1 else {m: q / lc for m, q in terms.items()}
+def _entry(terms: Mapping[Monomial, Fraction]) -> _Reducer:
+    """The monic entry of nonzero terms: their lead, the rest over its coefficient."""
+    tail = dict(terms)
+    lm = max(tail, key=Monomial.sort_key)
+    lc = tail.pop(lm)
+    return lm, tail if lc == 1 else {m: q / lc for m, q in tail.items()}
 
 
 def _reducer_key(entry: _Reducer):
@@ -79,9 +85,13 @@ def _reducer_key(entry: _Reducer):
 
 
 def _make_reducers(polys: Iterable[Polynomial]) -> List[_Reducer]:
-    entries = [_reducer_entry(p) for p in polys if p]
-    entries.sort(key=_reducer_key)
-    return entries
+    return sorted((_entry(p.terms) for p in polys if p), key=_reducer_key)
+
+
+def _times(terms: Mapping[Monomial, Fraction], u: Monomial):
+    """The terms multiplied by the monomial u, as a new dict."""
+    ua, ub, uc = u
+    return {Monomial(a + ua, b + ub, c + uc): q for (a, b, c), q in terms.items()}
 
 
 def _heap_key(m: Monomial) -> Tuple[int, int, int]:
@@ -119,10 +129,7 @@ def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
         if entry is None:
             out[m] = cf
             continue
-        lm, tail = entry
-        qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
-        for tm, tc in tail.items():
-            key = Monomial(tm.a + qa, tm.b + qb, tm.c + qc)
+        for key, tc in _times(entry[1], m // entry[0]).items():
             if key not in work:
                 heapq.heappush(heap, (_heap_key(key), key))
             value = work.get(key, 0) - cf * tc
@@ -133,23 +140,21 @@ def _reduce_terms(work: Dict[Monomial, Fraction], reducers: List[_Reducer]):
     return out
 
 
+def _s_terms(e1: _Reducer, e2: _Reducer) -> Dict[Monomial, Fraction]:
+    """The S-polynomial u*tail1 - v*tail2, where u*lead1 = v*lead2 is the lcm."""
+    (lm1, tail1), (lm2, tail2) = e1, e2
+    big = lm1.lcm(lm2)
+    out = _times(tail1, big // lm1)
+    for m, q in _times(tail2, big // lm2).items():
+        out[m] = out.get(m, 0) - q
+    return {m: q for m, q in out.items() if q}
+
+
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The syzygy polynomial cancelling the two leading terms."""
-    lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    big = lmf.lcm(lmg)
-    left = _mono_scale(f, big // lmf, 1 / f.terms[lmf])
-    right = _mono_scale(g, big // lmg, 1 / g.terms[lmg])
-    return left - right
-
-
-def _mono_scale(p: Polynomial, mono: Monomial, scalar) -> Polynomial:
-    q = Fraction(scalar)
-    terms = p.terms.items()
-    if q != 1:  # a monic input, such as a basis element, needs no products
-        terms = [(m, v * q) for m, v in terms]
-    return Polynomial._raw(
-        {Monomial(m.a + mono.a, m.b + mono.b, m.c + mono.c): v for m, v in terms}
-    )
+    if not (f and g):
+        raise ValueError("the zero polynomial has no leading monomial")
+    return Polynomial._raw(_s_terms(_entry(f.terms), _entry(g.terms)))
 
 
 def normal_form(
@@ -285,6 +290,22 @@ def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
             yield i, j
 
 
+def _completion(entries: List[_Reducer]) -> Iterator[_Reducer]:
+    """Reduce the S-polynomial of each pair `_critical_pairs` yields modulo
+    the entries so far; append each nonzero remainder to `entries` as an
+    entry and yield it.  Yields nothing iff `entries` is a Groebner basis."""
+    lms = [lm for lm, _ in entries]
+    reducers = sorted(entries, key=_reducer_key)
+    for i, j in _critical_pairs(lms):
+        remainder = _reduce_terms(_s_terms(entries[i], entries[j]), reducers)
+        if remainder:
+            entry = _entry(remainder)
+            entries.append(entry)
+            lms.append(entry[0])
+            insort(reducers, entry, key=_reducer_key)
+            yield entry
+
+
 def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators,
     untagged: the generators alone do not say which genus they belong to."""
@@ -295,18 +316,10 @@ def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
         if not p:
             raise ValueError("generators must be nonzero")
     # the reduced basis is unique, so the pair loop may start unreduced
-    basis = [p.monic() for p in gens]
-    lms = [p.leading_monomial() for p in basis]
-    reducers = _make_reducers(basis)
-    for i, j in _critical_pairs(lms):
-        remainder = _reduce_terms(dict(s_polynomial(basis[i], basis[j]).terms), reducers)
-        if not remainder:
-            continue
-        new = Polynomial._raw(remainder).monic()
-        basis.append(new)
-        lms.append(new.leading_monomial())
-        insort(reducers, _reducer_entry(new), key=_reducer_key)
-    return GroebnerBasis(_interreduce(reducers))
+    entries = [_entry(p.terms) for p in gens]
+    for _ in _completion(entries):
+        pass
+    return GroebnerBasis(_interreduce(sorted(entries, key=_reducer_key)))
 
 
 def relation_ideal_basis(genus: int) -> GroebnerBasis:
@@ -316,20 +329,12 @@ def relation_ideal_basis(genus: int) -> GroebnerBasis:
 
 
 def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool:
-    """Buchberger's criterion on the pairs `_critical_pairs` keeps.  All leads
-    enter its Gebauer-Moller update before the first pair; each pair dropped
-    there is joined by kept pairs and pairs of smaller lcm, so it has an
-    lcm-representation once the kept S-polynomials reduce to zero."""
-    if isinstance(basis, GroebnerBasis):
-        polys, reducers = [p for p in basis.elements if p], basis._reducers
-    else:
-        polys = [p for p in basis if p]
-        reducers = _make_reducers(polys)
-    lms = [p.leading_monomial() for p in polys]
-    return not any(
-        _reduce_terms(dict(s_polynomial(polys[i], polys[j]).terms), reducers)
-        for i, j in _critical_pairs(lms)
-    )
+    """Buchberger's criterion on the pairs `_critical_pairs` keeps, all leads
+    entering its Gebauer-Moller update first: a dropped pair is joined by kept
+    pairs and pairs of smaller lcm, so it has an lcm-representation once the
+    kept S-polynomials reduce to zero, which `_completion` checks."""
+    polys = basis.elements if isinstance(basis, GroebnerBasis) else basis
+    return next(_completion(_make_reducers(polys)), None) is None
 
 
 def _has_genus_shape(elements: Sequence[Polynomial], leads: List[Monomial]) -> bool:
@@ -560,7 +565,7 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
         if m in memo:
             stack.pop()
         elif terms is not None:  # every term below m is filled by now
-            memo[m] = -sum((tc * memo[t] for t, tc in terms), Fraction(0))
+            memo[m] = -sum((tc * memo[t] for t, tc in terms.items()), Fraction(0))
             stack.pop()
         else:
             entry = _largest_divisor(m, reducers)
@@ -568,14 +573,9 @@ def pairing_ratio(mono: Monomial, gb: GroebnerBasis) -> Fraction:
                 memo[m] = Fraction(1 if m == socle else 0)
                 stack.pop()
                 continue
-            lm, tail = entry
-            qa, qb, qc = m.a - lm.a, m.b - lm.b, m.c - lm.c
-            terms = [
-                (Monomial(tm.a + qa, tm.b + qb, tm.c + qc), tc)
-                for tm, tc in tail.items()
-            ]
+            terms = _times(entry[1], m // entry[0])
             stack[-1] = (m, terms)
-            stack.extend((t, None) for t, _ in terms if t not in memo)
+            stack.extend((t, None) for t in terms if t not in memo)
     return memo[mono]
 
 
@@ -597,10 +597,9 @@ def _weight_part(gens: List[Polynomial], weight: int) -> List[_Reducer]:
     reducers: List[_Reducer] = []
     for f in gens:
         for m in _monomials_of_weight(weight - f.weighted_degree()):
-            remainder = _reduce_terms(dict(_mono_scale(f, m, 1).terms), reducers)
+            remainder = _reduce_terms(_times(f.terms, m), reducers)
             if remainder:
-                entry = _reducer_entry(Polynomial._raw(remainder))
-                insort(reducers, entry, key=_reducer_key)
+                insort(reducers, _entry(remainder), key=_reducer_key)
     return reducers
 
 

@@ -323,6 +323,22 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("parse error: integer literal of 5000 digits")
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    @pytest.mark.parametrize(
+        "poly",
+        ["{0}*a^12", " + ".join(["{0}*b"] * 11)],
+        ids=["result-too-long", "input-too-long"],
+    )
+    def test_nf_coefficient_too_long_to_print_is_usage(self, capsys, poly, fmt):
+        # 4299 digits parse, but str() of an int refuses more than 4300: the
+        # normal form of N*a^12 at g=5 and the input 11*N*b have more
+        text = poly.format("9" * 4299)
+        code, out, err = run_cli(
+            capsys, "nf", "-g", "5", "--poly", text, "--format", fmt
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: a coefficient has too many digits to print\n"
+
     @pytest.mark.parametrize("verb, flag", [("nf", "--poly"), ("pairing", "--mono")])
     # superscript two and Arabic-Indic two: str.isdigit() holds, uint is 0-9
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
@@ -988,6 +1004,18 @@ class TestCache:
         )
         assert code == EXIT_OK
         assert first == second
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_at_cache_path_is_recomputed(self, tmp_path):
+        # opening a FIFO for reading blocks until a writer comes
+        path = newstead.cache.cache_path(tmp_path, 2)
+        os.mkfifo(path)
+        proc = run_module(
+            "hilbert", "-g", "2", "--cache-dir", str(tmp_path), timeout=20
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, "1 1 1 1\n")
+        assert path.is_file() and not path.is_symlink()
+        assert load_cached_basis(tmp_path, 2) == relation_ideal_basis(2)
 
     def test_cli_recovers_from_corrupt_cache(self, tmp_path, capsys):
         run_cli(capsys, "groebner", "-g", "2", "--cache-dir", str(tmp_path))

@@ -62,13 +62,13 @@ def gb3():
 def s_polys_built(monkeypatch):
     """A list that grows by one with each S-polynomial `groebner` builds."""
     built = []
-    real = newstead.groebner.s_polynomial
+    real = newstead.groebner._s_terms
 
-    def counting(f, g):
+    def counting(e1, e2):
         built.append(1)
-        return real(f, g)
+        return real(e1, e2)
 
-    monkeypatch.setattr(newstead.groebner, "s_polynomial", counting)
+    monkeypatch.setattr(newstead.groebner, "_s_terms", counting)
     return built
 
 
@@ -228,10 +228,11 @@ class TestCertificate:
     @pytest.mark.parametrize("genus", range(2, 9))
     def test_genus_basis_reduces_neighbouring_pairs_only(self, genus, s_polys_built):
         # leads (a,b,c)^g have a linear resolution with g(g+2) first syzygies
-        elements = relation_ideal_basis(genus).elements
-        s_polys_built.clear()
-        assert is_groebner_basis(elements)
-        assert len(s_polys_built) == genus * (genus + 2)
+        gb = relation_ideal_basis(genus)
+        for basis in (gb.elements, gb):
+            s_polys_built.clear()
+            assert is_groebner_basis(basis)
+            assert len(s_polys_built) == genus * (genus + 2)
 
     @pytest.mark.parametrize("genus", [3, 4, 5])
     def test_tail_tampers_rejected_like_all_pairs(self, genus):
@@ -396,6 +397,26 @@ class TestNormalForm:
         f1 = ALPHA**2 + BETA
         f2 = ALPHA * BETA + GAMMA
         assert s_polynomial(f1, f2) == BETA**2 - ALPHA * GAMMA
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        f=polynomials.filter(lambda p: p and p.leading_coefficient() != 1),
+        g=polynomials.filter(lambda p: p and p.leading_coefficient() != 1),
+    )
+    def test_spolynomial_by_polynomial_arithmetic(self, f, g):
+        # (L/lm_f)*f/lc_f - (L/lm_g)*g/lc_g, L the lcm of the two leads
+        big = f.leading_monomial().lcm(g.leading_monomial())
+
+        def shifted(p):
+            u = Polynomial({big // p.leading_monomial(): 1})
+            return u * p / p.leading_coefficient()
+
+        assert s_polynomial(f, g) == shifted(f) - shifted(g)
+
+    def test_spolynomial_of_zero_rejected(self):
+        for f, g in ((Polynomial(), ALPHA), (ALPHA, Polynomial())):
+            with pytest.raises(ValueError, match="the zero polynomial has no leading"):
+                s_polynomial(f, g)
 
 
 def lead_basis(leads):
