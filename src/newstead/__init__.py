@@ -43,7 +43,6 @@ from .groebner import (
     normal_form,
     pairing_ratio,
     relation_ideal_basis,
-    s_polynomial,
     standard_monomials,
 )
 from .relations import (
@@ -53,7 +52,7 @@ from .relations import (
     relations_by_definition,
     relations_by_recursion,
 )
-from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial, mono_cmp
+from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
 from .series import (
     PowerSeries,
     functional_equation_residual,
@@ -74,7 +73,6 @@ __all__ = [
     "ZERO",
     "Monomial",
     "Polynomial",
-    "mono_cmp",
     "PowerSeries",
     "series_exp",
     "series_binomial",
@@ -92,7 +90,6 @@ __all__ = [
     "buchberger",
     "relation_ideal_basis",
     "normal_form",
-    "s_polynomial",
     "is_groebner_basis",
     "standard_monomials",
     "hilbert_series",

@@ -52,7 +52,6 @@ __all__ = [
     "ORDER_TAG",
     "GroebnerBasis",
     "StandardMonomialBasis",
-    "s_polynomial",
     "normal_form",
     "buchberger",
     "relation_ideal_basis",
@@ -150,13 +149,6 @@ def _s_terms(e1: _Reducer, e2: _Reducer) -> Dict[Monomial, Fraction]:
     return {m: q for m, q in out.items() if q}
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The syzygy polynomial cancelling the two leading terms."""
-    if not (f and g):
-        raise ValueError("the zero polynomial has no leading monomial")
-    return Polynomial._raw(_s_terms(_entry(f.terms), _entry(g.terms)))
-
-
 def normal_form(
     p: Polynomial, basis: Union["GroebnerBasis", Sequence[Polynomial]]
 ) -> Polynomial:
@@ -194,11 +186,16 @@ class GroebnerBasis:
     g), so a tagged basis drops every term above that weight before it
     reduces; `pairing_ratio` and `tangent_vanishing_check` read the genus
     off the tag, and the former keeps its memo on the basis object, never
-    shared with another basis.
+    shared with another basis.  A tag below 1 is refused: its weight 3g-3
+    would be negative, and every polynomial would reduce to zero.
     """
 
     elements: Tuple[Polynomial, ...]
     genus: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.genus is not None and self.genus < 1:
+            raise ValueError(f"genus tag must be at least 1, not {self.genus}")
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(p.leading_monomial() for p in self.elements)

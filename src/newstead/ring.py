@@ -26,7 +26,6 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "Monomial",
     "Polynomial",
-    "mono_cmp",
     "ZERO",
     "ONE",
     "ALPHA",
@@ -87,14 +86,6 @@ class Monomial(NamedTuple):
             max(self.a, other.a), max(self.b, other.b), max(self.c, other.c)
         )
 
-    def coprime(self, other: "Monomial") -> bool:
-        """True when the two monomials share no variable."""
-        return (
-            min(self.a, other.a) == 0
-            and min(self.b, other.b) == 0
-            and min(self.c, other.c) == 0
-        )
-
     def __str__(self) -> str:
         if self.a == self.b == self.c == 0:
             return "1"
@@ -105,12 +96,6 @@ class Monomial(NamedTuple):
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts)
-
-
-def mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Three-way grevlex comparison: -1, 0 or 1 as m1 <, =, > m2."""
-    k1, k2 = m1.sort_key(), m2.sort_key()
-    return (k1 > k2) - (k1 < k2)
 
 
 def _coerce_mono(m) -> Monomial:
@@ -194,18 +179,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        data = dict(self._terms)
-        for m, q in other._terms.items():
-            v = data.get(m)
-            if v is None:
-                data[m] = -q
-            else:
-                v = v - q
-                if v:
-                    data[m] = v
-                else:
-                    del data[m]
-        return Polynomial._raw(data)
+        return self + -other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -251,12 +225,6 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self._terms[self.leading_monomial()]
 
-    def monic(self) -> "Polynomial":
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        return Polynomial._raw({m: q / lc for m, q in self._terms.items()})
-
     def weighted_degree(self) -> Optional[int]:
         """Common weighted degree, or None for an inhomogeneous polynomial.
 
@@ -266,19 +234,6 @@ class Polynomial:
             raise ValueError("the zero polynomial has no weighted degree")
         weights = {m.weight for m in self._terms}
         return weights.pop() if len(weights) == 1 else None
-
-    def is_weighted_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        return len({m.weight for m in self._terms}) == 1
-
-    def homogeneous_component(self, weight: int) -> "Polynomial":
-        """Sum of the terms of weighted degree exactly `weight`."""
-        if weight < 0:
-            raise ValueError("weighted degree must be non-negative")
-        return Polynomial._raw(
-            {m: q for m, q in self._terms.items() if m.weight == weight}
-        )
 
     def sorted_terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
         """Terms in descending monomial order."""

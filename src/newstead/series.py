@@ -108,13 +108,6 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend a series truncated at order {self.order} to {order}"
-            )
-        return PowerSeries(self._coeffs[: order + 1])
-
     def derivative(self) -> "PowerSeries":
         """Formal d/dt; the result is known one order less far."""
         if self.order < 1:

@@ -15,7 +15,7 @@ from newstead.chern import (
 )
 from newstead.groebner import GroebnerBasis, relation_ideal_basis
 from newstead.relations import relations_by_recursion
-from newstead.ring import ALPHA, BETA, GAMMA, ONE
+from newstead.ring import ALPHA, BETA, GAMMA, ONE, Polynomial
 from newstead.series import PowerSeries, generating_series, series_binomial, series_exp
 
 
@@ -82,7 +82,12 @@ class TestTangentClass:
 
 def _graded(p, order):
     """p as a series in t whose t^w coefficient is its weight-w component."""
-    return PowerSeries([p.homogeneous_component(w) for w in range(order + 1)])
+    return PowerSeries(
+        [
+            Polynomial({m: q for m, q in p.terms.items() if m.weight == w})
+            for w in range(order + 1)
+        ]
+    )
 
 
 def _quotient_exponent(max_weight):

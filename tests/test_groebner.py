@@ -12,6 +12,8 @@ import newstead.groebner
 from newstead.chern import quotient_chern
 from newstead.groebner import (
     GroebnerBasis,
+    _entry,
+    _s_terms,
     buchberger,
     complete_intersection_hilbert,
     expected_initial_ideal,
@@ -22,7 +24,6 @@ from newstead.groebner import (
     normal_form,
     pairing_ratio,
     relation_ideal_basis,
-    s_polynomial,
     standard_monomials,
 )
 from newstead.relations import relations_by_recursion
@@ -149,6 +150,11 @@ class TestBuchberger:
             others = [lm for j, lm in enumerate(leads) if j != i]
             for m in p.terms:
                 assert not any(lm.divides(m) for lm in others)
+
+
+def s_polynomial(f, g):
+    """The S-polynomial of two nonzero polynomials, by the kernel's `_s_terms`."""
+    return Polynomial._raw(_s_terms(_entry(f.terms), _entry(g.terms)))
 
 
 def all_pairs_certificate(polys):
@@ -412,11 +418,6 @@ class TestNormalForm:
             return u * p / p.leading_coefficient()
 
         assert s_polynomial(f, g) == shifted(f) - shifted(g)
-
-    def test_spolynomial_of_zero_rejected(self):
-        for f, g in ((Polynomial(), ALPHA), (ALPHA, Polynomial())):
-            with pytest.raises(ValueError, match="the zero polynomial has no leading"):
-                s_polynomial(f, g)
 
 
 def lead_basis(leads):
@@ -933,6 +934,16 @@ class TestGenusTruncation:
         assert nf(p + q) == nf(p) + nf(q)
         assert nf(k * p) == k * nf(p)
         assert nf(nf(p)) == nf(p)
+
+    @pytest.mark.parametrize(
+        "elements, genus, p",
+        [((), 0, ALPHA), ((ALPHA,), -2, BETA)],
+        ids=["genus-0", "genus-minus-2"],
+    )
+    def test_genus_tag_below_one_rejected(self, elements, genus, p):
+        # 3g-3 < 0 would drop every term, so the basis would contain p
+        with pytest.raises(ValueError, match="genus tag must be at least 1"):
+            GroebnerBasis(elements, genus=genus).contains(p)
 
     def test_untagged_basis_is_not_truncated(self):
         # a^7 - 1 is not weighted homogeneous, so no weight may be dropped

@@ -78,12 +78,6 @@ class TestPowerSeriesBasics:
         assert d.coefficient(0) == ALPHA
         assert d.coefficient(1) == 2 * GAMMA
 
-    def test_truncate_only_down(self):
-        s = PowerSeries([1, ALPHA, BETA])
-        assert s.truncate(1).order == 1
-        with pytest.raises(ValueError):
-            s.truncate(5)
-
 
 class TestExp:
     def test_exp_zero(self):
