@@ -15,11 +15,9 @@ All arithmetic is exact rational arithmetic; all values are immutable.
 """
 
 from .betti import (
-    BettiTable,
     betti_cross_check,
     default_s_max,
     enumerate_generator_counts,
-    enumeration_table,
     invariant_dimensions,
     newstead_betti,
 )
@@ -34,7 +32,6 @@ from .chern import (
 from .groebner import (
     ORDER_TAG,
     GroebnerBasis,
-    StandardMonomialBasis,
     buchberger,
     complete_intersection_hilbert,
     hilbert_series,
@@ -86,7 +83,6 @@ __all__ = [
     "initial_terms",
     "ORDER_TAG",
     "GroebnerBasis",
-    "StandardMonomialBasis",
     "buchberger",
     "relation_ideal_basis",
     "normal_form",
@@ -102,10 +98,8 @@ __all__ = [
     "chern_matches_series",
     "chern_relations_check",
     "tangent_vanishing_check",
-    "BettiTable",
     "newstead_betti",
     "enumerate_generator_counts",
-    "enumeration_table",
     "betti_cross_check",
     "invariant_dimensions",
     "default_s_max",

@@ -24,29 +24,16 @@ must agree on that whole range, which is the cross-check exposed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Tuple
 
 __all__ = [
-    "BettiTable",
     "default_s_max",
     "newstead_betti",
     "enumerate_generator_counts",
-    "enumeration_table",
     "betti_cross_check",
     "invariant_dimensions",
 ]
-
-@dataclass(frozen=True)
-class BettiTable:
-    """Dimensions of even cohomology, indexed by half-degree s."""
-
-    genus: int
-    values: Tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def default_s_max(genus: int) -> int:
@@ -54,8 +41,8 @@ def default_s_max(genus: int) -> int:
     return (3 * genus - 1) // 2
 
 
-def newstead_betti(genus: int, s_max: Optional[int] = None) -> BettiTable:
-    """Betti table via the two-step recursion, seeded with N(0) = N(1) = 1."""
+def newstead_betti(genus: int, s_max: Optional[int] = None) -> Tuple[int, ...]:
+    """N(0), ..., N(s_max) by the two-step recursion, seeded with N(0) = N(1) = 1."""
     if genus < 2:
         raise ValueError("genus must be at least 2")
     if s_max is None:
@@ -69,7 +56,7 @@ def newstead_betti(genus: int, s_max: Optional[int] = None) -> BettiTable:
             comb(2 * genus, 2 * l) for l in range(max(0, s - genus + 1), s // 3 + 1)
         )
         values.append(values[s - 2] + new)
-    return BettiTable(genus, tuple(values))
+    return tuple(values)
 
 
 def enumerate_generator_counts(genus: int, s: int) -> int:
@@ -105,21 +92,11 @@ def enumerate_generator_counts(genus: int, s: int) -> int:
     return total
 
 
-def enumeration_table(genus: int, s_max: Optional[int] = None) -> BettiTable:
-    """Betti table built entirely from the direct generator enumeration."""
-    if s_max is None:
-        s_max = default_s_max(genus)
-    return BettiTable(
-        genus,
-        tuple(enumerate_generator_counts(genus, s) for s in range(s_max + 1)),
-    )
-
-
 def betti_cross_check(genus: int) -> bool:
     """Recursion equals enumeration for every s up to floor((3g-1)/2)."""
-    recursion = newstead_betti(genus)
-    enumerated = enumeration_table(genus)
-    return recursion.values == enumerated.values
+    return newstead_betti(genus) == tuple(
+        enumerate_generator_counts(genus, s) for s in range(default_s_max(genus) + 1)
+    )
 
 
 def invariant_dimensions(genus: int) -> Tuple[int, ...]:

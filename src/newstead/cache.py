@@ -1,8 +1,9 @@
 """On-disk cache of reduced Groebner bases, one JSON file per genus.
 
-A loaded file is never trusted.  Only a regular file is read, so a FIFO or
-a device at the path is recomputed and replaced.  Its header must match,
-and its element list must hold C(g+2, 2) strings, one per lead of the
+A loaded file is never trusted.  Only a regular file of at most
+`_MAX_CHARS` characters is read, so a FIFO, a device or a longer file at
+the path is recomputed and replaced.  Its header must match, and its
+element list must hold C(g+2, 2) strings, one per lead of the
 genus-g basis, before a single element is parsed.  The parsed basis is
 handed out only if `groebner.is_relation_basis` certifies it against the
 relation triple, and then it is bit-identical to a freshly computed basis;
@@ -24,6 +25,9 @@ from .relations import relations_by_recursion
 from .textform import ParseError, parse_poly
 
 CACHE_VERSION = 1
+# a file longer than this is a miss, read no further; the genus-30 file,
+# the largest one written, has about 470 KB
+_MAX_CHARS = 16 * 2**20
 
 __all__ = [
     "cache_path", "save_cached_basis", "load_cached_basis", "relation_basis_cached"
@@ -72,7 +76,10 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         with os.fdopen(fd, encoding="utf-8") as handle:
             if not stat.S_ISREG(os.fstat(fd).st_mode):
                 return None
-            payload = json.loads(handle.read())
+            text = handle.read(_MAX_CHARS + 1)
+            if len(text) > _MAX_CHARS:
+                return None
+            payload = json.loads(text)
     # ValueError also covers a number past the int digit limit, and deep
     # nesting raises RecursionError
     except (OSError, ValueError, RecursionError):

@@ -152,7 +152,7 @@ def _basis(args, genus: int) -> Result:
     payload = {
         "genus": genus,
         "count": len(sm),
-        "monomials": [str(m) for m in sm.monomials],
+        "monomials": [str(m) for m in sm],
     }
     text = [f"{len(sm)} standard monomials:"] + [f"  {m}" for m in payload["monomials"]]
     return payload, text, None, True
@@ -170,10 +170,9 @@ def _hilbert(args, genus: int) -> Result:
 
 def _pairing(args, genus: int) -> Result:
     poly = parse_poly(args.mono)
-    terms = poly.sorted_terms()
-    if len(terms) != 1 or terms[0][1] != 1:
+    if len(poly.terms) != 1 or 1 not in poly.terms.values():
         raise UsageError("expected a single monomial with coefficient 1")
-    mono = terms[0][0]
+    (mono,) = poly.terms
     gb = relation_basis_cached(genus, args.cache_dir)
     try:
         ratio = pairing_ratio(mono, gb)
@@ -221,10 +220,10 @@ def _betti(args, genus: int) -> Result:
     payload = {
         "genus": genus,
         "s_max": s_max,
-        "values": [[s, v] for s, v in enumerate(table.values)],
+        "values": [[s, v] for s, v in enumerate(table)],
         "cross_check": cross,
     }
-    text = [f"{s} {v}" for s, v in enumerate(table.values)]
+    text = [f"{s} {v}" for s, v in enumerate(table)]
     text.append(f"cross-check: {'ok' if cross else 'FAILED'}")
     return payload, text, None, cross
 

@@ -51,7 +51,6 @@ from .ring import Monomial, Polynomial, integer_form, mono_key
 __all__ = [
     "ORDER_TAG",
     "GroebnerBasis",
-    "StandardMonomialBasis",
     "normal_form",
     "buchberger",
     "relation_ideal_basis",
@@ -428,31 +427,7 @@ def is_relation_basis(gb: GroebnerBasis, triple: RelationTriple) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StandardMonomialBasis:
-    """Monomials outside the initial ideal, a basis of the quotient."""
-
-    monomials: Tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def counts_by_weight(self) -> Tuple[int, ...]:
-        top = max((m.weight for m in self.monomials), default=0)
-        counts = [0] * (top + 1)
-        for m in self.monomials:
-            counts[m.weight] += 1
-        return tuple(counts)
-
-    def contains_tails(self, polys: Iterable[Polynomial]) -> bool:
-        """Every term of each polynomial but its lead is a standard monomial."""
-        standard = set(self.monomials)
-        return all(
-            standard >= p.terms.keys() - {p.leading_monomial()} for p in polys if p
-        )
-
-
-def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
+def standard_monomials(gb: GroebnerBasis) -> Tuple[Monomial, ...]:
     """Enumerate the standard monomials, sorted by (weight, grevlex).
 
     Requires the quotient to be finite dimensional, i.e. the initial ideal
@@ -494,12 +469,20 @@ def standard_monomials(gb: GroebnerBasis) -> StandardMonomialBasis:
         for a in range(ends[b][c])
     ]
     found.sort(key=lambda m: (m.weight, m.sort_key()))
-    return StandardMonomialBasis(tuple(found))
+    return tuple(found)
+
+
+def _counts_by_weight(monomials: Sequence[Monomial]) -> Tuple[int, ...]:
+    """How many of `monomials` have each weight, up to the largest."""
+    counts = [0] * (max((m.weight for m in monomials), default=0) + 1)
+    for m in monomials:
+        counts[m.weight] += 1
+    return tuple(counts)
 
 
 def hilbert_series(gb: GroebnerBasis) -> Tuple[int, ...]:
     """Graded dimensions of the quotient, indexed by weighted degree."""
-    return standard_monomials(gb).counts_by_weight()
+    return _counts_by_weight(standard_monomials(gb))
 
 
 def complete_intersection_hilbert(genus: int) -> Tuple[int, ...]:

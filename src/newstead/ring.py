@@ -235,10 +235,6 @@ class Polynomial:
         weights = {m.weight for m in self._terms}
         return weights.pop() if len(weights) == 1 else None
 
-    def sorted_terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
-        """Terms in descending monomial order."""
-        return tuple((m, self._terms[m]) for m in sorted(self._terms, reverse=True))
-
     def _render(self, monomial, scalar, times: str) -> str:
         """Signed terms in descending order.  `scalar` renders a positive
         coefficient, `monomial` a non-constant monomial, and `times` joins

@@ -191,12 +191,12 @@ def test_criterion_09_betti_cross_check():
         if not betti_cross_check(g):
             bad.append((g, "cross-check"))
         table = newstead_betti(g)
-        if table.values[0] != 1 or table.values[1] != 1:
+        if table[0] != 1 or table[1] != 1:
             bad.append((g, "seeds"))
     # the recursion must reproduce the direct generator count at g=2, s=2
     # (the enumeration oracle gives 1, the classical value for that space)
     oracle = enumerate_generator_counts(2, 2)
-    if newstead_betti(2).values[2] != oracle or oracle != 1:
+    if newstead_betti(2)[2] != oracle or oracle != 1:
         bad.append((2, "g_4 spot value"))
     report(9, "Betti recursion vs enumeration g=2..10", not bad)
     assert not bad, bad
@@ -224,9 +224,7 @@ def test_criterion_11_socle_pairing(bases):
         gb = computed[g]
         top = 3 * g - 3
         socle = Monomial(0, 0, g - 1)
-        standard_top = [
-            m for m in standard_monomials(gb).monomials if m.weight == top
-        ]
+        standard_top = [m for m in standard_monomials(gb) if m.weight == top]
         if standard_top != [socle]:
             bad.append((g, "socle uniqueness"))
         for a in range(top + 1):

@@ -18,7 +18,7 @@ import newstead.cli
 import newstead.groebner
 import newstead.series
 import newstead.verify
-from newstead.betti import BettiTable, default_s_max
+from newstead.betti import default_s_max
 from newstead.chern import GradedClass
 from newstead.cli import (
     EXIT_CHECK_FAILED,
@@ -414,7 +414,7 @@ class TestVerify:
         assert out == (GOLDEN / "verify_1_4.json").read_text(encoding="utf-8")
 
     def test_betti_monotone_can_fail(self, capsys, monkeypatch):
-        table = BettiTable(genus=3, values=(1, 2, 1, 16, 2))
+        table = (1, 2, 1, 16, 2)
         monkeypatch.setattr(newstead.verify, "newstead_betti", lambda g: table)
         code, out, _ = run_cli(capsys, "verify", "-g", "3")
         assert code == EXIT_CHECK_FAILED
@@ -424,14 +424,16 @@ class TestVerify:
     def test_dual_path_certifies_series_product(self, monkeypatch):
         # the generating series and the definition route share PowerSeries
         # arithmetic, so a fault there must show up in the recursion, which
-        # uses no series
+        # uses no series; the run's one series reaches t^25, so the lossy
+        # product drops every coefficient from t^4 on, where the genus-2
+        # triple already reads D_4
         product = PowerSeries.__mul__
 
         def lossy(self, other):
             result = product(self, other)
             if result is NotImplemented:
                 return result
-            return PowerSeries(result.coefficients[:-1], order=result.order)
+            return PowerSeries(result.coefficients[:4], order=result.order)
 
         monkeypatch.setattr(PowerSeries, "__mul__", lossy)
         checks, all_ok = newstead.verify.run_verify(2, 3)
@@ -483,15 +485,18 @@ class TestVerify:
 
     def test_ideal_equal_series_can_fail(self, monkeypatch):
         honest = newstead.verify.taylor_derivative
+        checks, oks = [], []
+        for g in range(1, 6):
+            # verify asks for D_g, D_{g+1}, D_{g+2}: tamper the last of them
+            def tampered(s, r, top=g + 2):
+                d = honest(s, r)
+                return d + ALPHA**r if r == top else d
 
-        def tampered(s, r):
-            # verify asks for D_g, D_{g+1}, D_{g+2} of a series of order g+2
-            d = honest(s, r)
-            return d + ALPHA**r if r == s.order else d
-
-        monkeypatch.setattr(newstead.verify, "taylor_derivative", tampered)
-        checks, all_ok = newstead.verify.run_verify(1, 5)
-        assert not all_ok
+            monkeypatch.setattr(newstead.verify, "taylor_derivative", tampered)
+            genus_checks, ok = newstead.verify.run_verify(g, g)
+            checks += genus_checks
+            oks.append(ok)
+        assert not all(oks)
         for g in range(1, 6):
             assert (f"g={g}", "ideal-equal-series", g <= 2, "") in checks
 
@@ -581,6 +586,39 @@ class TestVerify:
                     monkeypatch.setattr(module, "quotient_chern", counted)
         newstead.verify.run_verify(1, 10)
         assert weights == [g + 2 for g in range(1, 11)]  # 10 calls, one per genus
+
+    @pytest.mark.parametrize("lo, hi, order", [(1, 10, 25), (5, 8, 25), (24, 24, 26)])
+    def test_one_generating_series_per_run(self, monkeypatch, lo, hi, order):
+        # every genus and the functional equation read one series
+        honest = newstead.series.generating_series
+        orders = []
+
+        def counted(n):
+            orders.append(n)
+            return honest(n)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "newstead":
+                if getattr(module, "generating_series", None) is honest:
+                    monkeypatch.setattr(module, "generating_series", counted)
+        checks, all_ok = newstead.verify.run_verify(lo, hi)
+        assert all_ok and ("global", "functional-equation", True, "order 25") in checks
+        assert orders == [order]
+
+    def test_one_staircase_per_genus(self, monkeypatch):
+        honest = newstead.groebner.standard_monomials
+        genera = []
+
+        def counted(gb):
+            genera.append(gb.genus)
+            return honest(gb)
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "newstead":
+                if getattr(module, "standard_monomials", None) is honest:
+                    monkeypatch.setattr(module, "standard_monomials", counted)
+        assert newstead.verify.run_verify(1, 6)[1]
+        assert genera == [1, 2, 3, 4, 5, 6]
 
     def test_one_border_check_per_genus_when_warm(self, tmp_path, monkeypatch):
         # the load and the initial-ideal row certify one basis object
@@ -1016,6 +1054,20 @@ class TestCache:
         assert (proc.returncode, proc.stdout) == (EXIT_OK, "1 1 1 1\n")
         assert path.is_file() and not path.is_symlink()
         assert load_cached_basis(tmp_path, 2) == relation_ideal_basis(2)
+
+    def test_file_over_the_size_limit_is_replaced(self, tmp_path):
+        # a valid file padded with blanks loads at the limit; one character
+        # over it, it is a miss, recomputed and rewritten
+        gb = relation_ideal_basis(3)
+        path = save_cached_basis(tmp_path, gb)
+        text = path.read_text(encoding="utf-8")
+        limit = newstead.cache._MAX_CHARS
+        path.write_text(text.ljust(limit), encoding="utf-8")
+        assert load_cached_basis(tmp_path, 3) == gb
+        path.write_text(text.ljust(limit + 1), encoding="utf-8")
+        assert load_cached_basis(tmp_path, 3) is None
+        assert newstead.cache.relation_basis_cached(3, str(tmp_path)) == gb
+        assert path.read_text(encoding="utf-8") == text
 
     def test_cli_recovers_from_corrupt_cache(self, tmp_path, capsys):
         run_cli(capsys, "groebner", "-g", "2", "--cache-dir", str(tmp_path))

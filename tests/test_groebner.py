@@ -371,7 +371,7 @@ class TestNormalForm:
         assert gb2.normal_form(GAMMA) == GAMMA
 
     def test_support_in_standard_monomials(self, gb3):
-        standard = set(standard_monomials(gb3).monomials)
+        standard = set(standard_monomials(gb3))
         p = (ALPHA + BETA) ** 4 - GAMMA * ALPHA
         assert set(gb3.normal_form(p).terms) <= standard
 
@@ -466,13 +466,12 @@ def lead_sets(draw):
 class TestStandardMonomials:
     def test_genus_one(self):
         sm = standard_monomials(relation_ideal_basis(1))
-        assert sm.monomials == (Monomial(),)
-        # the genus is stated on the basis, not copied here
-        assert [f.name for f in dataclasses.fields(sm)] == ["monomials"]
+        # a plain tuple: the genus is stated on the basis, not copied here
+        assert type(sm) is tuple and sm == (Monomial(),)
 
     def test_genus_two(self, gb2):
         sm = standard_monomials(gb2)
-        assert sm.monomials == (
+        assert sm == (
             Monomial(0, 0, 0),
             Monomial(1, 0, 0),
             Monomial(0, 1, 0),
@@ -483,7 +482,7 @@ class TestStandardMonomials:
     def test_counts_and_membership(self, genus):
         sm = standard_monomials(relation_ideal_basis(genus))
         assert len(sm) == expected_standard_count(genus)
-        assert set(sm.monomials) == {
+        assert set(sm) == {
             Monomial(a, b, c)
             for a in range(genus)
             for b in range(genus)
@@ -493,13 +492,13 @@ class TestStandardMonomials:
 
     def test_sorted_by_weight_then_order(self, gb3):
         sm = standard_monomials(gb3)
-        keys = [(m.weight, m.sort_key()) for m in sm.monomials]
+        keys = [(m.weight, m.sort_key()) for m in sm]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("genus", range(2, 7))
     def test_socle_unique(self, genus):
         sm = standard_monomials(relation_ideal_basis(genus))
-        top = [m for m in sm.monomials if m.weight == 3 * genus - 3]
+        top = [m for m in sm if m.weight == 3 * genus - 3]
         assert top == [Monomial(0, 0, genus - 1)]
 
     def test_infinite_quotient_rejected(self):
@@ -508,14 +507,14 @@ class TestStandardMonomials:
 
     def test_lead_one_leaves_nothing(self):
         gb = lead_basis([Monomial(), Monomial(5, 0, 0)])
-        assert standard_monomials(gb).monomials == ()
+        assert standard_monomials(gb) == ()
 
     def test_leads_outside_the_box_are_ignored(self):
         box = [Monomial(2, 0, 0), Monomial(0, 2, 0), Monomial(0, 0, 2)]
         outside = [Monomial(1, 2, 0), Monomial(1, 1, 5), Monomial(9, 0, 1)]
-        expected = standard_monomials(lead_basis(box)).monomials
+        expected = standard_monomials(lead_basis(box))
         assert len(expected) == 8
-        assert standard_monomials(lead_basis(box + outside)).monomials == expected
+        assert standard_monomials(lead_basis(box + outside)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(leads=lead_sets())
@@ -527,7 +526,7 @@ class TestStandardMonomials:
             with pytest.raises(ValueError):
                 standard_monomials(gb)
             return
-        assert standard_monomials(gb).monomials == expected
+        assert standard_monomials(gb) == expected
 
 
 class TestHilbert:
@@ -965,7 +964,7 @@ class TestUniquenessSupport:
     @pytest.mark.parametrize("genus", range(1, 7))
     def test_tails_are_standard(self, genus):
         gb = relation_ideal_basis(genus)
-        standard = set(standard_monomials(gb).monomials)
+        standard = set(standard_monomials(gb))
         for p in relations_by_recursion(genus).polynomials():
             lead = p.leading_monomial()
             assert all(m in standard for m in p.terms if m != lead)
@@ -1014,3 +1013,42 @@ class TestConcurrentUse:
         finally:
             sys.setswitchinterval(interval)
         assert results == expected
+
+
+class TestRetainedMemory:
+    def test_query_passes_retain_nothing(self):
+        # the mix of calls a benchmark pass of ideal queries makes: basis,
+        # every top-weight pairing, Hilbert series, ideal equality with the
+        # basis, and normal forms below, at and above the top weight; each
+        # pass drops its results, so memory held afterwards is the package's
+        import gc
+        import tracemalloc
+
+        inputs = [
+            (ALPHA + Fraction(1, 3) * BETA - 2 * GAMMA) ** k + Fraction(5, 7) * BETA**k
+            for k in (4, 9, 15, 22)
+        ]
+
+        def one_pass():
+            for genus in (6, 7):
+                gb = relation_ideal_basis(genus)
+                triple = relations_by_recursion(genus)
+                for m in top_weight_monomials(genus):
+                    pairing_ratio(m, gb)
+                hilbert_series(gb)
+                ideal_equal(triple.polynomials(), gb.elements, basis1=gb, basis2=gb)
+                for p in inputs:
+                    gb.normal_form(p)
+
+        one_pass()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                one_pass()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 16 * 1024
