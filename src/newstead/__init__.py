@@ -51,7 +51,6 @@ from .relations import (
 )
 from .ring import ALPHA, BETA, GAMMA, ONE, ZERO, Monomial, Polynomial
 from .series import (
-    PowerSeries,
     functional_equation_residual,
     generating_series,
     series_binomial,
@@ -70,7 +69,6 @@ __all__ = [
     "ZERO",
     "Monomial",
     "Polynomial",
-    "PowerSeries",
     "series_exp",
     "series_binomial",
     "generating_series",

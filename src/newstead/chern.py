@@ -30,7 +30,6 @@ from typing import Iterable, List, Tuple
 from .groebner import GroebnerBasis, _monomials_of_weight, ideal_equal, pairing_ratio
 from .relations import RelationTriple
 from .ring import Monomial, Polynomial, integer_form, mono_key
-from .series import PowerSeries
 
 __all__ = [
     "GradedClass", "quotient_chern", "tangent_chern", "chern_matches_series",
@@ -111,7 +110,7 @@ def tangent_chern(genus: int, max_weight: int) -> GradedClass:
     return _expand(max_weight, pre, 1, u, v, den)
 
 
-def chern_matches_series(graded: GradedClass, series: PowerSeries) -> bool:
+def chern_matches_series(graded: GradedClass, series: Tuple[Polynomial, ...]) -> bool:
     """Each component c_r of `graded`, through its truncation, equals the
     t^r coefficient of `series`, which must reach that order.
 
@@ -121,7 +120,10 @@ def chern_matches_series(graded: GradedClass, series: PowerSeries) -> bool:
     truncated series in t with polynomial coefficients, which
     `relations-dual-path` and `functional-equation` certify without it.
     """
-    return all(c == series.coefficient(r) for r, c in enumerate(graded.components))
+    n = len(graded.components)
+    if len(series) < n:
+        raise ValueError(f"series of order {len(series) - 1} stops before t^{n - 1}")
+    return graded.components == series[:n]
 
 
 def chern_relations_check(graded: GradedClass, triple: RelationTriple) -> bool:

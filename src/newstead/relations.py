@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Tuple
 
 from .ring import ALPHA, BETA, GAMMA, Monomial, Polynomial
-from .series import PowerSeries, generating_series, taylor_derivative
+from .series import generating_series, taylor_derivative
 
 __all__ = [
     "RelationTriple",
@@ -71,7 +71,7 @@ def relations_by_recursion(genus: int) -> RelationTriple:
 
 
 def relations_by_definition(
-    genus: int, series: Optional[PowerSeries] = None
+    genus: int, series: Optional[Tuple[Polynomial, ...]] = None
 ) -> RelationTriple:
     """Triple extracted from Taylor derivatives of the generating series.
 
@@ -88,9 +88,9 @@ def relations_by_definition(
         raise ValueError("genus must be at least 1")
     if series is None:
         series = generating_series(genus + 2)
-    if series.order < genus + 2:
+    if len(series) < genus + 3:
         raise ValueError(
-            f"series truncated at order {series.order} cannot produce the "
+            f"series truncated at order {len(series) - 1} cannot produce the "
             f"genus {genus} triple (order {genus + 2} needed)"
         )
     d0 = taylor_derivative(series, genus)

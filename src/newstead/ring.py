@@ -21,8 +21,6 @@ from math import lcm
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
-Scalar = Union[int, Fraction]
-
 __all__ = [
     "Monomial",
     "Polynomial",
@@ -131,10 +129,6 @@ class Polynomial:
         p = object.__new__(cls)
         p._terms = data
         return p
-
-    @staticmethod
-    def constant(value: Scalar) -> "Polynomial":
-        return Polynomial({Monomial(): value})
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:

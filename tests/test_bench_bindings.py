@@ -3,7 +3,9 @@
 `perfbench/spans.py` wraps the functions its `LAYERS` table names, and
 `perfbench/run.py` calls the package through the module object `ns`.  A
 name deleted from the package would break only a traced or untraced bench
-run; these tests catch it first.  Neither bench file is edited or run.
+run; these tests catch it first.  So does one traced `verify` run for a
+result attribute that a `spans.Tracer` count reads.  Neither bench file is
+edited, and `run.py` is only parsed.
 """
 
 import ast
@@ -14,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import newstead
+import newstead.cli
+import newstead.groebner
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +58,15 @@ def test_every_public_name_resolves():
     assert len(set(newstead.__all__)) == len(newstead.__all__)
     for name in newstead.__all__:
         assert hasattr(newstead, name), name
+
+
+def test_traced_verify_observes_every_count(tmp_path, capsys):
+    # the second run loads both bases from the cache, so every count moves
+    spans = load_spans()
+    honest = newstead.groebner.normal_form
+    argv = ["verify", "-g", "2..3", "--cache-dir", str(tmp_path), "--format", "json"]
+    with spans.Tracer() as tracer:
+        assert [newstead.cli.main(argv) for _ in range(2)] == [0, 0]
+    capsys.readouterr()
+    assert all(tracer.counts[name] > 0 for name in spans.COUNTS), tracer.counts
+    assert newstead.groebner.normal_form is honest

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -16,7 +17,7 @@ from newstead.chern import (
 from newstead.groebner import GroebnerBasis, relation_ideal_basis
 from newstead.relations import relations_by_recursion
 from newstead.ring import ALPHA, BETA, GAMMA, ONE, Polynomial
-from newstead.series import PowerSeries, generating_series, series_binomial, series_exp
+from newstead.series import _product, generating_series, series_binomial, series_exp
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,9 @@ class TestTangentClass:
 
 def _graded(p, order):
     """p as a series in t whose t^w coefficient is its weight-w component."""
-    return PowerSeries(
-        [
-            Polynomial({m: q for m, q in p.terms.items() if m.weight == w})
-            for w in range(order + 1)
-        ]
+    return tuple(
+        Polynomial({m: q for m, q in p.terms.items() if m.weight == w})
+        for w in range(order + 1)
     )
 
 
@@ -107,10 +106,10 @@ def quotient_oracle(max_weight):
     coefficients.
     """
     minus_beta = _graded(-BETA, max_weight)
-    total = series_binomial(minus_beta, Fraction(-1, 2)) * series_exp(
-        _graded(_quotient_exponent(max_weight), max_weight)
+    return _product(
+        series_binomial(minus_beta, Fraction(-1, 2)),
+        series_exp(_graded(_quotient_exponent(max_weight), max_weight)),
     )
-    return total.coefficients
 
 
 def product_form(genus, max_weight):
@@ -121,13 +120,14 @@ def product_form(genus, max_weight):
     products.
     """
     minus_beta = _graded(-BETA, max_weight)
-    exp_part = PowerSeries([ONE], order=max_weight)
+    exp_part = _graded(ONE, max_weight)
     for k in range(1, max_weight // 3 + 1):
         gamma_term = _graded((-4 * GAMMA) ** k / factorial(k), max_weight)
-        exp_part = exp_part + gamma_term * series_binomial(minus_beta, -k)
-    q = PowerSeries(quotient_oracle(max_weight))
-    total = series_binomial(minus_beta, genus) * exp_part * q * q
-    return total.coefficients
+        term = _product(gamma_term, series_binomial(minus_beta, -k))
+        exp_part = tuple(map(operator.add, exp_part, term))
+    q = quotient_oracle(max_weight)
+    total = _product(series_binomial(minus_beta, genus), exp_part)
+    return _product(_product(total, q), q)
 
 
 class TestProductFormOracle:

@@ -177,7 +177,7 @@ class TestCanonicalText:
     def test_signs_and_constants(self):
         assert str(ALPHA - ONE) == "a - 1"
         assert str(-ALPHA + 2 * BETA) == "-a + 2*b"
-        assert str(Polynomial.constant(Fraction(-5, 3))) == "-5/3"
+        assert str(Fraction(-5, 3) * ONE) == "-5/3"
 
     def test_terms_descend(self):
         p = GAMMA + ALPHA**3 + BETA

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newstead.ring import ALPHA, BETA, GAMMA, Monomial, Polynomial
+from newstead.ring import ALPHA, BETA, GAMMA, ONE, Monomial, Polynomial
 from newstead.textform import ParseError, parse_poly, to_latex
 
 monomials = st.builds(
@@ -37,8 +37,8 @@ class TestParse:
         assert parse_poly("  a ^ 2  +  b ") == ALPHA**2 + BETA
 
     def test_constants(self):
-        assert parse_poly("3") == Polynomial.constant(3)
-        assert parse_poly("-2/4") == Polynomial.constant(Fraction(-1, 2))
+        assert parse_poly("3") == 3 * ONE
+        assert parse_poly("-2/4") == Fraction(-1, 2) * ONE
         assert parse_poly("0") == Polynomial()
 
     def test_leading_sign(self):
@@ -56,7 +56,7 @@ class TestParse:
         assert parse_poly("2*a^3*c") == 2 * ALPHA**3 * GAMMA
 
     def test_exponent_zero(self):
-        assert parse_poly("a^0") == Polynomial.constant(1)
+        assert parse_poly("a^0") == ONE
 
 
 class TestParseErrors:
@@ -192,5 +192,5 @@ class TestLatex:
         assert to_latex(Polynomial()) == "0"
 
     def test_constant_and_signs(self):
-        assert to_latex(ALPHA - Polynomial.constant(1)) == "\\alpha - 1"
-        assert to_latex(Polynomial.constant(Fraction(5, 6))) == "\\frac{5}{6}"
+        assert to_latex(ALPHA - ONE) == "\\alpha - 1"
+        assert to_latex(Fraction(5, 6) * ONE) == "\\frac{5}{6}"
