@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .groebner import ORDER_TAG, GroebnerBasis, is_relation_basis, relation_ideal_basis
-from .relations import relations_by_recursion
+from .relations import RelationTriple, relations_by_recursion
 from .textform import ParseError, parse_poly
 
 CACHE_VERSION = 1
@@ -66,8 +66,11 @@ def save_cached_basis(cache_dir: str, gb: GroebnerBasis) -> Path:
     return target
 
 
-def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
-    """Load a cached basis, or None when missing, corrupt or invalid."""
+def load_cached_basis(
+    cache_dir: str, genus: int, triple: Optional[RelationTriple] = None
+) -> Optional[GroebnerBasis]:
+    """Load a cached basis, or None when missing, corrupt or invalid.  It is
+    certified against `triple`, by default the recursion's genus-g triple."""
     path = cache_path(cache_dir, genus)
     try:
         # opening a FIFO would block and a device may never end: read only a
@@ -99,16 +102,25 @@ def load_cached_basis(cache_dir: str, genus: int) -> Optional[GroebnerBasis]:
         gb = GroebnerBasis(tuple(map(parse_poly, raw)), genus=genus)
     except ParseError:
         return None
-    return gb if is_relation_basis(gb, relations_by_recursion(genus)) else None
+    if triple is None:
+        triple = relations_by_recursion(genus)
+    return gb if is_relation_basis(gb, triple) else None
 
 
-def relation_basis_cached(genus: int, cache_dir: Optional[str]) -> GroebnerBasis:
-    """The genus-g basis, read from and written to `cache_dir` when given."""
+def relation_basis_cached(
+    genus: int,
+    cache_dir: Optional[str],
+    previous: Optional[GroebnerBasis] = None,
+    triple: Optional[RelationTriple] = None,
+) -> GroebnerBasis:
+    """The genus-g basis, read from and written to `cache_dir` when given;
+    `previous` and `triple` go to `relation_ideal_basis` on a miss, and
+    `triple` to the certificate of a load."""
     if cache_dir is None:
-        return relation_ideal_basis(genus)
-    cached = load_cached_basis(cache_dir, genus)
+        return relation_ideal_basis(genus, previous, triple)
+    cached = load_cached_basis(cache_dir, genus, triple)
     if cached is not None:
         return cached
-    gb = relation_ideal_basis(genus)
+    gb = relation_ideal_basis(genus, previous, triple)
     save_cached_basis(cache_dir, gb)
     return gb

@@ -16,6 +16,10 @@ criterion, `is_groebner_basis`, holds iff the loop appends nothing, so for
 a genus-g basis it reduces g(g+2) S-polynomials instead of all
 C(C(g+2, 2), 2).  The tests keep it as the oracle for `is_relation_basis`,
 the certificate of a genus-g basis that the cache loader and `verify` use.
+A seed of entries that already form a Groebner basis enters the loop first,
+and their mutual pairs count as yielded pairs that reduce to zero: c times
+the genus-(g-1) basis is the part of the genus-g basis whose leads hold c,
+so a genus-g build seeded with it reduces 2g+2 S-polynomials.
 Division pops terms largest first from a heap and reduces by the largest
 divisor lead, so normal forms are deterministic step by step; reducers are
 monic entries, so a step never divides, and a `GroebnerBasis` builds its
@@ -41,7 +45,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 from typing import Tuple, Union
 
@@ -158,19 +162,31 @@ def normal_form(
     return Polynomial._raw(_reduce_terms(dict(p.terms), reducers))
 
 
-def _interreduce(reducers: List[_Reducer]) -> Tuple[Polynomial, ...]:
+def _interreduce(
+    reducers: List[_Reducer], seed: Sequence[_Reducer] = ()
+) -> Tuple[Polynomial, ...]:
     """Reduced basis from the reducers of a Groebner basis, sorted by lead,
     in one pass: drop each element whose lead an earlier kept lead divides,
     then reduce each kept tail once against the kept set (Cox, Little,
-    O'Shea, Ideals, Varieties, and Algorithms, section 2.7)."""
+    O'Shea, Ideals, Varieties, and Algorithms, section 2.7).  The tails of
+    `seed`, entries of a reduced basis, are reduced against its leads; a
+    lead that divides a tail term has no higher standard degree, so a seed
+    tail is kept as it is unless a kept lead from outside the seed is that
+    low."""
     kept: List[_Reducer] = []
     for entry in reducers:
         if not any(k[0].divides(entry[0]) for k in kept):
             kept.append(entry)
-    return tuple(
-        Polynomial._raw({lm: Fraction(1), **_reduce_terms(dict(tail), kept)})
-        for lm, tail in kept
-    )
+    ids = {id(entry) for entry in seed}
+    low = min((e[0].degree for e in kept if id(e) not in ids), default=inf)
+
+    def reduced(entry: _Reducer) -> Polynomial:
+        lm, tail = entry
+        if id(entry) not in ids or any(m.degree >= low for m in tail):
+            tail = _reduce_terms(dict(tail), kept)
+        return Polynomial._raw({lm: Fraction(1), **tail})
+
+    return tuple(map(reduced, kept))
 
 
 @dataclass(frozen=True)
@@ -229,17 +245,19 @@ class GroebnerBasis:
         return not self.normal_form(p)
 
 
-def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
+def _critical_pairs(lms: List[Monomial], seeded: int = 0) -> Iterator[Tuple[int, int]]:
     """Index pairs (i, j), i < j, whose S-polynomials must be reduced, by
     the lcm's weight, then its `sort_key`, then index: the sugar strategy of
     Giovini et al., whose sugar is the weight on weighted homogeneous input.
     Leads the caller appends to `lms` between two pairs enter, by the
     Gebauer-Moller update, before the next pair is chosen; a fixed set's
-    leads all enter first (Becker, Weispfenning, Groebner Bases, 5.5).  For
-    a new lead h: (B) a queued (i, j) whose lcm L h divides is dropped
-    unless lcm(i, h) or lcm(j, h) is L; (M) of the new (i, h), taken by
-    ascending lcm with a coprime one first among equal lcms, one is kept
-    only if no kept lcm divides its own; (F) no coprime pair is queued.
+    leads all enter first (Becker, Weispfenning, Groebner Bases, 5.5).  The
+    first `seeded` leads, of entries that already form a Groebner basis,
+    enter at the start without pairs among them.  For a new lead h: (B) a
+    queued (i, j) whose lcm L h divides is dropped unless lcm(i, h) or
+    lcm(j, h) is L; (M) of the new (i, h), taken by ascending lcm with a
+    coprime one first among equal lcms, one is kept only if no kept lcm
+    divides its own; (F) no coprime pair is queued.
 
     Sound: call a pair of lcm L joined when its leads are linked by a path
     of leads dividing L whose steps are pairs of lcm properly dividing L, or
@@ -248,11 +266,13 @@ def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
     (k, h) and the older, joined (i, k).  With the queue empty, induction on
     L gives each S-polynomial an lcm-representation once the yielded ones
     reduce to zero: a Groebner basis (Cox, Little, O'Shea, Ideals,
-    Varieties, and Algorithms, section 2.9, Theorem 6).  Dropped pairs leave
-    `live` and are skipped when popped."""
+    Varieties, and Algorithms, section 2.9, Theorem 6).  A pair of seeded
+    leads counts as yielded: the seeded entries are a Groebner basis, so its
+    S-polynomial reduces to zero modulo them.  Dropped pairs leave `live`
+    and are skipped when popped."""
     heap: List[Tuple[Tuple[int, int, int, int], int, int]] = []
     live: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-    entered = 0
+    entered = seeded
     while True:
         for h in range(entered, len(lms)):
             ha, hb, hc = lms[h]
@@ -286,13 +306,14 @@ def _critical_pairs(lms: List[Monomial]) -> Iterator[Tuple[int, int]]:
             yield i, j
 
 
-def _completion(entries: List[_Reducer]) -> Iterator[_Reducer]:
+def _completion(entries: List[_Reducer], seeded: int = 0) -> Iterator[_Reducer]:
     """Reduce the S-polynomial of each pair `_critical_pairs` yields modulo
     the entries so far; append each nonzero remainder to `entries` as an
-    entry and yield it.  Yields nothing iff `entries` is a Groebner basis."""
+    entry and yield it.  Yields nothing iff `entries` is a Groebner basis.
+    The first `seeded` entries must already form one."""
     lms = [lm for lm, _ in entries]
     reducers = sorted(entries, key=_reducer_key)
-    for i, j in _critical_pairs(lms):
+    for i, j in _critical_pairs(lms, seeded):
         remainder = _reduce_terms(_s_terms(entries[i], entries[j]), reducers)
         if remainder:
             entry = _entry(remainder)
@@ -302,26 +323,58 @@ def _completion(entries: List[_Reducer]) -> Iterator[_Reducer]:
             yield entry
 
 
-def buchberger(generators: Iterable[Polynomial]) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by the generators,
-    untagged: the generators alone do not say which genus they belong to."""
+def buchberger(
+    generators: Iterable[Polynomial], *, seed: Sequence[Polynomial] = ()
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal spanned by the generators and
+    `seed`, untagged: the generators alone do not say which genus they
+    belong to.  The seed must be a reduced Groebner basis: the pairs among
+    its elements are not formed."""
     gens = list(generators)
-    for p in gens:
+    for p in (*seed, *gens):
         if not isinstance(p, Polynomial):
             raise TypeError(f"generator {p!r} is not a Polynomial")
         if not p:
             raise ValueError("generators must be nonzero")
     # the reduced basis is unique, so the pair loop may start unreduced
-    entries = [_entry(p.terms) for p in gens]
-    for _ in _completion(entries):
+    seeded = [_entry(p.terms) for p in seed]
+    entries = seeded + [_entry(p.terms) for p in gens]
+    for _ in _completion(entries, len(seeded)):
         pass
-    return GroebnerBasis(_interreduce(sorted(entries, key=_reducer_key)))
+    return GroebnerBasis(_interreduce(sorted(entries, key=_reducer_key), seeded))
 
 
-def relation_ideal_basis(genus: int) -> GroebnerBasis:
-    """Reduced basis of the genus-g relation ideal, tagged with the genus."""
-    triple = relations_by_recursion(genus)
-    return GroebnerBasis(buchberger(triple.polynomials()).elements, genus=genus)
+def relation_ideal_basis(
+    genus: int,
+    previous: Optional[GroebnerBasis] = None,
+    triple: Optional[RelationTriple] = None,
+) -> GroebnerBasis:
+    """Reduced basis of the genus-g relation ideal, tagged with the genus.
+
+    `triple`, if given, is the genus-g relation triple, which saves walking
+    the recursion.  `previous`, if given, must be tagged with genus g-1; c
+    times its elements then seed Buchberger.  The recursion step from g-1
+    to g gives c*f1 = f3', c*f2 = (c*f1' - a*f3')/(g-1)^2 and
+    c*f3 = (g/(2(g-1)))*(c*f2' - b*f3'), so c*I_(g-1) lies in I_g.  For a
+    reduced element h of the genus-(g-1) basis, c*h is monic with a lead of
+    degree g and a tail below degree g, so it is the element of the genus-g
+    basis with that lead: the seed is the part of the basis whose leads hold
+    c, and only the g+1 elements with c-free leads are new."""
+    if triple is None:
+        triple = relations_by_recursion(genus)
+    elif triple.genus != genus:
+        raise ValueError(f"a genus-{triple.genus} triple cannot build genus {genus}")
+    seed: Tuple[Polynomial, ...] = ()
+    if previous is not None:
+        if previous.genus != genus - 1:
+            raise ValueError(
+                f"the genus-{genus} basis is seeded from genus {genus - 1}, "
+                f"not from a basis tagged {previous.genus}"
+            )
+        up = Monomial(0, 0, 1)
+        seed = tuple(Polynomial._raw(_times(p.terms, up)) for p in previous.elements)
+    gb = buchberger(triple.polynomials(), seed=seed)
+    return GroebnerBasis(gb.elements, genus=genus)
 
 
 def is_groebner_basis(basis: Union[GroebnerBasis, Sequence[Polynomial]]) -> bool:

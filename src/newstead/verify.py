@@ -6,6 +6,8 @@ Rows run in table order, genera in increasing order; after them come the
 cross-genus inclusions c * I_g inside I_(g+1) and the functional equation
 of the generating series.  One walk of the recursion yields every triple,
 and one generating series serves every genus and the functional equation.
+Each genus's basis seeds the build of the next one's, which the
+`initial-ideal` row certifies like any other.
 """
 
 from __future__ import annotations
@@ -62,10 +64,13 @@ class Context(NamedTuple):
 
 
 def _context(
-    by_rec: RelationTriple, phi: Tuple[Polynomial, ...], cache_dir: Optional[str]
+    by_rec: RelationTriple,
+    phi: Tuple[Polynomial, ...],
+    cache_dir: Optional[str],
+    previous: Optional[GroebnerBasis],
 ) -> Context:
     g = by_rec.genus
-    gb = relation_basis_cached(g, cache_dir)
+    gb = relation_basis_cached(g, cache_dir, previous=previous, triple=by_rec)
     sm = standard_monomials(gb)
     by_def = relations_by_definition(g, phi)
     counts = _counts_by_weight(sm)
@@ -147,9 +152,10 @@ def run_verify(
     checks: List[Check] = []
     inclusions: List[Check] = []
     previous: Optional[RelationTriple] = None
+    basis: Optional[GroebnerBasis] = None
     phi = generating_series(max(hi + 2, 25))
     for triple in islice(iter_recursion_triples(hi), lo - 1, None):
-        x = _context(triple, phi, cache_dir)
+        x = _context(triple, phi, cache_dir, basis)
         g = x.g
         for name, (first, last), predicate, detail in CHECKS:
             if first <= g and (last is None or g <= last):
@@ -157,7 +163,7 @@ def run_verify(
         if previous is not None:
             included = all(x.gb.contains(GAMMA * p) for p in previous.polynomials())
             inclusions.append((f"g={g - 1}->g={g}", "gamma-inclusion", included, ""))
-        previous = x.by_rec
+        previous, basis = x.by_rec, x.gb
     checks += inclusions
     residual = functional_equation_residual(phi[:26])
     checks.append(("global", "functional-equation", not any(residual), "order 25"))

@@ -48,13 +48,20 @@ from newstead.textform import parse_poly
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+
+def tail_terms(gb):
+    """(element index, tail monomial) for every tail term of the basis."""
+    return [
+        (i, m)
+        for i, p in enumerate(gb.elements)
+        for m in sorted(p.terms, key=Monomial.sort_key)
+        if m != p.leading_monomial()
+    ]
+
+
 GENUS5 = relation_ideal_basis(5)
-GENUS5_TAILS = [
-    (i, m)
-    for i, p in enumerate(GENUS5.elements)
-    for m in sorted(p.terms, key=Monomial.sort_key)
-    if m != p.leading_monomial()
-]
+GENUS5_TAILS = tail_terms(GENUS5)
+GENUS4_TAILS = tail_terms(relation_ideal_basis(4))
 
 
 def sorted_leads(genus):
@@ -502,9 +509,9 @@ class TestVerify:
         assert all_ok and ("g=2", "pairing-spot-values", True, "") in checks
         honest = newstead.verify.relation_basis_cached
 
-        def tampered(genus, cache_dir):
+        def tampered(genus, cache_dir, **kwargs):
             # a^2 + b -> a^2 + 2b: a^3 pairs to 2, not 1
-            gb = honest(genus, cache_dir)
+            gb = honest(genus, cache_dir, **kwargs)
             elements = tuple(
                 ALPHA**2 + 2 * BETA if p == ALPHA**2 + BETA else p
                 for p in gb.elements
@@ -523,10 +530,10 @@ class TestVerify:
         assert all_ok and ("g=3", "uniqueness-support", True, "") in checks
         honest = newstead.verify.relation_basis_cached
 
-        def tampered(genus, cache_dir):
+        def tampered(genus, cache_dir, **kwargs):
             # a*b becomes a lead, so f1 = a^3 + 5ab + 4c has a tail term
             # outside the staircase
-            gb = honest(genus, cache_dir)
+            gb = honest(genus, cache_dir, **kwargs)
             return GroebnerBasis(gb.elements + (ALPHA * BETA,), genus=genus)
 
         monkeypatch.setattr(newstead.verify, "relation_basis_cached", tampered)
@@ -544,11 +551,41 @@ class TestVerify:
         elements[index] = Polynomial({**p.terms, mono: p.terms[mono] + 1})
         tampered = GroebnerBasis(tuple(elements), genus=5)
         monkeypatch.setattr(
-            newstead.verify, "relation_basis_cached", lambda genus, cache_dir: tampered
+            newstead.verify,
+            "relation_basis_cached",
+            lambda genus, cache_dir, **kwargs: tampered,
         )
         checks, all_ok = newstead.verify.run_verify(5, 5)
         assert not all_ok
         assert ("g=5", "initial-ideal", False, "") in checks
+
+    @pytest.mark.parametrize(
+        "index, mono", GENUS4_TAILS, ids=[f"{i}-{m}" for i, m in GENUS4_TAILS]
+    )
+    def test_wrong_seed_never_passes_as_the_next_basis(
+        self, monkeypatch, index, mono
+    ):
+        # the genus-4 basis, one tail coefficient changed, seeds genus 5
+        honest = newstead.verify.relation_basis_cached
+        built = {}
+
+        def tampered(genus, cache_dir, **kwargs):
+            gb = honest(genus, cache_dir, **kwargs)
+            if genus == 4:
+                elements = list(gb.elements)
+                p = elements[index]
+                elements[index] = Polynomial({**p.terms, mono: p.terms[mono] + 1})
+                gb = GroebnerBasis(tuple(elements), genus=4)
+            built[genus] = gb
+            return gb
+
+        monkeypatch.setattr(newstead.verify, "relation_basis_cached", tampered)
+        checks, all_ok = newstead.verify.run_verify(4, 5)
+        assert not all_ok
+        assert ("g=4", "initial-ideal", False, "") in checks
+        assert ("g=5", "initial-ideal", False, "") in checks or (
+            built[5].elements == GENUS5.elements
+        )
 
     def test_chern_relations_can_fail(self, monkeypatch):
         honest = newstead.verify.quotient_chern

@@ -125,14 +125,42 @@ class TestBuchberger:
         relation_ideal_basis(genus)
         assert len(s_polys_built) == genus * (genus + 2)
 
+    def test_seeded_bases_equal_plain_ones(self):
+        # one walk, each basis seeding the next, as `verify` builds them
+        previous = relation_ideal_basis(1)
+        for genus in range(2, 21):
+            seeded = relation_ideal_basis(genus, previous)
+            assert seeded.genus == genus
+            assert seeded.elements == relation_ideal_basis(genus).elements
+            previous = seeded
+
+    @pytest.mark.parametrize("genus", range(2, 9))
+    def test_seeded_basis_reduces_2g_plus_2_pairs(self, genus, s_polys_built):
+        # c times the genus-(g-1) basis holds every lead with c; only the
+        # triple's pairs with it and with each other are formed
+        previous = relation_ideal_basis(genus - 1)
+        s_polys_built.clear()
+        relation_ideal_basis(genus, previous, relations_by_recursion(genus))
+        assert len(s_polys_built) == 2 * genus + 2
+
+    @pytest.mark.parametrize("tag", [None, 3, 5])
+    def test_seed_must_be_tagged_with_the_genus_below(self, tag):
+        previous = GroebnerBasis(relation_ideal_basis(4).elements, genus=tag)
+        with pytest.raises(ValueError):
+            relation_ideal_basis(5, previous)
+
+    def test_triple_must_be_of_the_genus(self):
+        with pytest.raises(ValueError):
+            relation_ideal_basis(5, triple=relations_by_recursion(4))
+
     def test_pairs_chosen_by_non_decreasing_lcm_weight(self, monkeypatch):
         # on weighted homogeneous input a new lead weighs at least as much
         # as the pair that produced it, so the sugar order never goes back
         weights = []
         real = newstead.groebner._critical_pairs
 
-        def recording(lms):
-            for i, j in real(lms):
+        def recording(lms, seeded=0):
+            for i, j in real(lms, seeded):
                 weights.append(lms[i].lcm(lms[j]).weight)
                 yield i, j
 
@@ -270,6 +298,17 @@ class TestRedundantGenerators:
     def test_equal_leads(self):
         gens = [ALPHA**2 + BETA, 2 * ALPHA**2 + 2 * BETA, ALPHA**2, 3 * BETA]
         assert buchberger(gens).elements == (BETA, ALPHA**2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.lists(nonzero_polynomials, min_size=1, max_size=3),
+        gens=st.lists(nonzero_polynomials, min_size=1, max_size=3),
+    )
+    def test_any_reduced_basis_seeds_buchberger(self, seed, gens):
+        # the generators' leads may divide the seed's tail terms here
+        reduced = buchberger(seed).elements
+        plain = buchberger(reduced + tuple(gens))
+        assert buchberger(gens, seed=reduced).elements == plain.elements
 
     @pytest.mark.parametrize("rotation", range(4))
     def test_shuffled_with_ideal_members(self, rotation):
